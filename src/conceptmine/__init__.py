@@ -16,7 +16,13 @@ from .context import (
     preprocess,
 )
 from .derive import Concept, ObjectSet, closure, down, enumerate_naive, up
-from .errors import CapacityError, ConfigurationError, ParseError, PruningSoundnessError
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    DigestMismatchError,
+    ParseError,
+    PruningSoundnessError,
+)
 from .fptree import (
     CompleteFpTree,
     FpNode,
@@ -26,7 +32,6 @@ from .fptree import (
     lcm3_enumerate,
 )
 from .lcm import (
-    BucketArena,
     ConditionalDatabase,
     PruneRuleStore,
     create_conditional_db,
@@ -39,13 +44,13 @@ from .mining import concept_digest, mine_concepts
 
 __all__ = [
     "AttributeRemap",
-    "BucketArena",
     "CanonicityOutcome",
     "CapacityError",
     "CompleteFpTree",
     "Concept",
     "ConditionalDatabase",
     "ConfigurationError",
+    "DigestMismatchError",
     "EnumerationStats",
     "FormalContext",
     "FpNode",

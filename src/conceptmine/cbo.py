@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .bits import ids_of
 from .context import FormalContext
 
 
@@ -69,7 +70,7 @@ def cbo_enumerate(
     with_extents: bool = False,
     stats: EnumerationStats | None = None,
 ) -> Iterator:
-    from .derive import Concept, _ids_of  # local import to avoid a cycle
+    from .derive import Concept  # local import to avoid a cycle
 
     st = stats if stats is not None else EnumerationStats()
     if ctx.total_weight < min_support:
@@ -91,7 +92,7 @@ def cbo_enumerate(
             st.canonicity_failures += 1
             return
         st.concepts_emitted += 1
-        yield Concept(_ids_of(D), extent_weight, tuple(extent) if with_extents else None)
+        yield Concept(ids_of(D), extent_weight, tuple(extent) if with_extents else None)
         have = set(extent)
         for i in range(y + 1, n + 1):
             if D >> (i - 1) & 1:

@@ -1,7 +1,8 @@
 """Command line front end: mine closed itemsets, generate test data, benchmark engines.
 
 Exit codes: 0 success, 1 I/O error, 2 parse error, 3 invalid arguments,
-4 capacity exceeded, 5 benchmark digest mismatch.
+4 capacity exceeded (including inputs too deep for the recursion limit),
+5 benchmark digest mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cbo import EnumerationStats
 from .context import FormalContext, parse_cxt, parse_fimi
-from .errors import CapacityError, ConfigurationError, ParseError
+from .errors import CapacityError, ConfigurationError, DigestMismatchError, ParseError
 from .fptree import DEFAULT_DENSE_WIDTH
 from .mining import ALGORITHMS, concept_digest, mine_concepts
 
@@ -68,7 +69,9 @@ def _build_parser() -> _Parser:
     mine.add_argument(
         "--min-support-ratio", type=float, default=None, help="fraction of the object count"
     )
-    mine.add_argument("--no-pruning", action="store_true", help="lcm2 only: disable rule pruning")
+    mine.add_argument(
+        "--no-pruning", action="store_true", help="lcm2 and lcm3 only: disable rule pruning"
+    )
     mine.add_argument(
         "--dense-width",
         default=None,
@@ -153,8 +156,8 @@ def _format_concept(c, with_extents: bool) -> str:
 def _cmd_mine(args) -> int:
     ctx, remap = _load_context(args.input, args.format)
     min_support = _resolve_support(args, ctx.num_objects)
-    if args.no_pruning and args.algorithm != "lcm2":
-        raise _UsageError("--no-pruning applies only to --algorithm lcm2")
+    if args.no_pruning and args.algorithm not in ("lcm2", "lcm3"):
+        raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
     if args.dense_width is not None and args.algorithm != "lcm3":
         raise _UsageError("--dense-width applies only to --algorithm lcm3")
     stats = EnumerationStats()
@@ -212,8 +215,8 @@ def bench(
 ) -> list[dict]:
     """Run every engine ``repeats`` times; report medians and verify identical outputs.
 
-    Raises ValueError when two engines disagree on the concept-set digest:
-    a correctness regression outranks any timing number.
+    Raises DigestMismatchError when two engines disagree on the concept-set
+    digest: a correctness regression outranks any timing number.
     """
     if miner is None:
         miner = mine_concepts
@@ -244,7 +247,7 @@ def bench(
         record.update(stats.as_dict())
         rows.append(record)
     if len(set(digests.values())) > 1:
-        raise ValueError(f"engines disagree on the concept set: {digests}")
+        raise DigestMismatchError(f"engines disagree on the concept set: {digests}")
     return rows
 
 
@@ -270,7 +273,7 @@ def _cmd_bench(args) -> int:
             repeats=args.repeats,
             dense_width=_resolve_dense_width(args.dense_width),
         )
-    except ValueError as exc:
+    except DigestMismatchError as exc:
         print(f"conceptmine: {exc}", file=sys.stderr)
         return EXIT_DIGEST
     fields = [
@@ -307,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except (CapacityError, ConfigurationError) as exc:
         print(f"conceptmine: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except RecursionError:
+        print("conceptmine: input too deep for the recursion limit", file=sys.stderr)
         return EXIT_CAPACITY
     except OSError as exc:
         print(f"conceptmine: {exc}", file=sys.stderr)

@@ -3,8 +3,10 @@
 A context is a binary relation between objects (rows) and attributes (integer
 ids 1..n).  Rows are stored as strictly ascending arraylists of attribute ids;
 each row carries a positive integer weight counting how many original objects
-it stands for.  Contexts are treated as immutable after construction, so any
-number of enumeration runs may share one.
+it stands for.  The vertical view - one row bitset per attribute column plus
+the weight bit-planes - is built on first use and gives the exact weighted
+size of any row set by popcounts.  Contexts are treated as immutable after
+construction, so any number of enumeration runs may share one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
 
+from .bits import mask_of
 from .errors import ParseError
 
 
@@ -78,7 +81,7 @@ class FormalContext:
     @cached_property
     def row_masks(self) -> list[int]:
         """Rows as bitmasks, attribute k at bit k-1."""
-        return [_mask_of(row) for row in self.rows]
+        return [mask_of(row) for row in self.rows]
 
     @cached_property
     def attribute_extents(self) -> list[list[int]]:
@@ -88,6 +91,27 @@ class FormalContext:
             for a in row:
                 cols[a].append(x)
         return cols
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """For each attribute, its rows as a bitset (row x at bit x)."""
+        return [_row_bitset(rows, self.num_objects) for rows in self.attribute_extents]
+
+    @cached_property
+    def weight_planes(self) -> list[int]:
+        """Row bitsets by weight bit: plane k holds the rows whose weight has bit k set."""
+        top = max(self.weights, default=0).bit_length()
+        return [
+            _row_bitset((x for x, w in enumerate(self.weights) if w >> k & 1), self.num_objects)
+            for k in range(top)
+        ]
+
+    def weight_of(self, rows: int) -> int:
+        """Exact weighted size of a row bitset: popcounts over the weight bit-planes."""
+        planes = self.weight_planes
+        if len(planes) == 1:
+            return rows.bit_count()  # every weight is 1
+        return sum((rows & plane).bit_count() << k for k, plane in enumerate(planes))
 
     def validate(self) -> None:
         """Recheck every structural invariant by rescanning the rows."""
@@ -105,11 +129,11 @@ class FormalContext:
         return f"FormalContext({self.num_objects} objects, {self.num_attributes} attributes)"
 
 
-def _mask_of(ids: Iterable[int]) -> int:
-    m = 0
-    for a in ids:
-        m |= 1 << (a - 1)
-    return m
+def _row_bitset(rows: Iterable[int], num_rows: int) -> int:
+    buf = bytearray((num_rows + 7) >> 3)
+    for x in rows:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)
@@ -267,7 +291,9 @@ def preprocess(
     cardinality order (ties by ascending original id).  Originally empty rows
     are dropped; rows that merely become empty through attribute removal are
     kept so no support weight is lost.  Identical rows merge with summed
-    weights.  The returned remap/merge translate results back to the input ids.
+    weights, and rows are ordered by descending weight (``sort_objects``
+    orders rows of equal weight by descending length).  The returned
+    remap/merge translate results back to the input ids.
     """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
@@ -311,6 +337,11 @@ def preprocess(
             weights.append(w)
             groups.append([x])
 
-    new_ctx = FormalContext(rows, weights=weights, num_attributes=len(retained))
-    merge = ObjectMerge(tuple(tuple(g) for g in groups))
+    # Heaviest rows first (stably): the weight bit-planes above plane 0 then
+    # span only the low row bits, which keeps weighted popcounts cheap.
+    order = sorted(range(len(rows)), key=lambda r: -weights[r])
+    new_ctx = FormalContext(
+        [rows[r] for r in order], [weights[r] for r in order], num_attributes=len(retained)
+    )
+    merge = ObjectMerge(tuple(tuple(groups[r]) for r in order))
     return new_ctx, remap, merge

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .bits import ids_of
 from .cbo import EnumerationStats
 from .context import FormalContext
 from .errors import CapacityError
@@ -46,7 +47,7 @@ def up(ctx: FormalContext, objects: Iterable[int]) -> tuple[int, ...]:
         inter &= masks[x]
         if inter == 0:
             break
-    return _ids_of(inter)
+    return ids_of(inter)
 
 
 def down(ctx: FormalContext, attrs: Iterable[int]) -> ObjectSet:
@@ -106,19 +107,8 @@ def enumerate_naive(
                     extent.append(x)
         if closed == subset and weight >= min_support:
             st.concepts_emitted += 1
-            yield Concept(_ids_of(subset), weight, tuple(extent) if with_extents else None)
+            yield Concept(ids_of(subset), weight, tuple(extent) if with_extents else None)
         for i in range(y + 1, n + 1):
             yield from visit(subset | (1 << (i - 1)), i)
 
     yield from visit(0, 0)
-
-
-def _ids_of(mask: int) -> tuple[int, ...]:
-    ids = []
-    a = 1
-    while mask:
-        if mask & 1:
-            ids.append(a)
-        mask >>= 1
-        a += 1
-    return tuple(ids)

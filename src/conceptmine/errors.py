@@ -21,3 +21,7 @@ class ConfigurationError(ValueError):
 
 class PruningSoundnessError(RuntimeError):
     """A pruning rule suppressed a call that would have passed the canonicity test."""
+
+
+class DigestMismatchError(RuntimeError):
+    """Two engines produced different concept sets on the same input."""

@@ -15,11 +15,13 @@ attribute.
 All bit-arrays are plain Python integers (attribute k at bit k-1); equality,
 intersection and the key lookup are single int operations.
 
-The LCM3 engine runs the arraylist recursion of :mod:`conceptmine.lcm` until a
-node's live attribute universe fits within ``dense_width``, then hands the
-whole subtree to the tree engine: lists act as the delivered buckets,
-conditional trees replace conditional databases, and canonicity is read off
-the inner intersections.
+The LCM3 engine runs the vertical bitset recursion of :mod:`conceptmine.lcm`
+until a node's live attribute universe fits within ``dense_width``, then
+hands the whole subtree to the tree engine: the tree is built from the rows
+of the node's extent bitset, each row's mask cut to the live attributes;
+lists act as the delivered buckets, conditional trees replace conditional
+databases, and canonicity is read off the inner intersections.  Extents of
+the concepts it emits are ANDs of the intent's attribute columns.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .bits import ids_of, mask_of, set_bits
 from .cbo import EnumerationStats
 from .context import AttributeRemap, FormalContext
 from .errors import ConfigurationError
-from .lcm import SMALL_DB_ATTRS, SMALL_DB_ROWS, ConditionalDatabase, _Runner
+from .lcm import ConditionalDatabase, _Runner
 
 DEFAULT_DENSE_WIDTH = 128
 # Conditional trees copy node bit-arrays freely; beyond this width the
-# arraylist path is always the better representation.
+# bitset path is always the better representation.
 MAX_DENSE_WIDTH = 1 << 16
 
 
@@ -47,10 +50,10 @@ class FpNode:
         self.inner = inner
 
     def path_attrs(self) -> tuple[int, ...]:
-        return _ids_of(self.path_set)
+        return ids_of(self.path_set)
 
     def inner_attrs(self) -> tuple[int, ...]:
-        return _ids_of(self.inner)
+        return ids_of(self.inner)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FpNode(path={self.path_attrs()}, weight={self.weight}, inner={self.inner_attrs()})"
@@ -62,8 +65,8 @@ class CompleteFpTree:
     ``lists[a]`` maps path bit-arrays to nodes (the bit-array is the node
     identity); ``totals[a]`` is the weighted size of list a.  ``path_mask``
     limits which attributes participate in path sets - attributes outside it
-    (interior-intersection prefixes of a conditional database) appear only
-    inside ``inner`` bit-arrays.
+    (the prefix attributes of a conditional database) appear only inside
+    ``inner`` bit-arrays.
     """
 
     def __init__(self, width: int, path_mask: int | None = None):
@@ -185,11 +188,11 @@ def intent_of_list(tree: CompleteFpTree, attr: int) -> tuple[tuple[int, ...], in
     inter = -1
     for node in nodes.values():
         inter &= node.inner
-    return _ids_of(inter), tree.totals[attr]
+    return ids_of(inter), tree.totals[attr]
 
 
 class _FpEngine:
-    """Subtree miner over complete FP-trees, engaged by the arraylist recursion.
+    """Subtree miner over complete FP-trees, engaged by the bitset recursion.
 
     Inside an engaged subtree the generation order is mirrored: children add
     attributes in descending id order (most frequent last), because a
@@ -208,15 +211,17 @@ class _FpEngine:
         return len(db.suffix_attrs) + len(db.prefix_attrs) <= self.dense_width
 
     def mine(self, db: ConditionalDatabase, closed: tuple[int, ...], runner: _Runner) -> Iterator:
-        suffix_mask = _mask_of(db.suffix_attrs)
-        prefix_mask = _mask_of(db.prefix_attrs)
+        suffix_mask = mask_of(db.suffix_attrs)
+        prefix_mask = mask_of(db.prefix_attrs)
+        live_mask = suffix_mask | prefix_mask
         width = db.suffix_attrs[-1]
         tree = CompleteFpTree(width, path_mask=suffix_mask)
-        for prefix, suffix, w in zip(db.prefix_rows, db.suffix_rows, db.weights):
-            if not suffix:
-                continue  # rows without live suffix attributes feed no deeper extent
-            mask = _mask_of(suffix)
-            tree._push(mask, w, mask | _mask_of(prefix))
+        row_masks = runner.ctx.row_masks
+        weights = runner.ctx.weights
+        for x in set_bits(db.extent):
+            mask = row_masks[x]
+            if mask & suffix_mask:  # rows without live suffix attributes feed no deeper extent
+                tree._push(mask & suffix_mask, weights[x], mask & live_mask)
         tree._extend(width)
         yield from self._mine(tree, 0, closed, suffix_mask, prefix_mask, runner)
 
@@ -258,7 +263,7 @@ class _FpEngine:
                 continue
             new_found = inter & suffix_mask
             st.concepts_emitted += 1
-            yield runner._emit_intent(_merge_ids(closed, new_found), weight)
+            yield runner._emit(_merge_ids(closed, new_found), weight)
             sub = conditional_fptree(tree, attr, runner.min_weight)
             st.conditional_dbs_built += 1
             if sub.lists:
@@ -276,11 +281,8 @@ def lcm3_enumerate(
     with_extents: bool = False,
     check_pruning: bool = False,
     node_inspector: Callable | None = None,
-    reuse_arena: bool = True,
-    small_db_rows: int = SMALL_DB_ROWS,
-    small_db_attrs: int = SMALL_DB_ATTRS,
 ) -> Iterator:
-    """LCM with the hybrid representation: arraylists wide, complete FP-trees narrow.
+    """LCM with the hybrid representation: row bitsets wide, complete FP-trees narrow.
 
     Identical concept output to :func:`conceptmine.lcm.lcm2_enumerate` for
     every ``dense_width``.  ``dense_width`` 0 disables the tree engine
@@ -306,31 +308,10 @@ def lcm3_enumerate(
         with_extents=with_extents,
         check_pruning=check_pruning,
         node_inspector=node_inspector,
-        reuse_arena=reuse_arena,
-        small_db_rows=small_db_rows,
-        small_db_attrs=small_db_attrs,
         fp_engine=fp_engine,
     )
     yield from runner.run()
 
 
-def _mask_of(ids: Iterable[int]) -> int:
-    m = 0
-    for a in ids:
-        m |= 1 << (a - 1)
-    return m
-
-
-def _ids_of(mask: int) -> tuple[int, ...]:
-    ids = []
-    a = 1
-    while mask > 0:
-        if mask & 1:
-            ids.append(a)
-        mask >>= 1
-        a += 1
-    return tuple(ids)
-
-
 def _merge_ids(closed: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    return tuple(sorted(closed + _ids_of(mask)))
+    return tuple(sorted(closed + ids_of(mask)))

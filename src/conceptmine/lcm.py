@@ -3,12 +3,16 @@
 The recursion follows the same canonical generation tree as Close-by-One, but
 closures and canonicity are decided from attribute frequencies: within the
 current extent, an attribute belongs to the closure exactly when its weighted
-frequency equals the extent weight.  Each node projects its data into a
-conditional database - rows restricted to the extent, constant and infrequent
-attributes dropped, attributes below the anchor kept only as interior
-intersections of merged rows - and fills all child extents (buckets) in one
-pass over that database.  Children are expanded right to left so bucket
-storage can be reused across finished subtrees.
+frequency equals the extent weight.  The databases are vertical: an extent is
+a row bitset, an attribute's frequency is the weighted popcount of the extent
+ANDed with its column (see :meth:`FormalContext.weight_of`), and an attribute
+is full exactly when its column covers the extent.  Each node's conditional
+database is its extent plus the live attributes - constant, empty and
+infrequent ones dropped - split at the anchor into suffix candidates and the
+prefix attributes that later canonicity checks need.  Occurrence deliver
+fills every child extent (bucket) with one AND per suffix attribute.  The
+canonicity test runs first and stops at the smallest violator, as in
+In-Close.  Children are expanded right to left, largest attribute first.
 
 Pruning reuses failed canonicity tests: when descending into attribute i
 forced some earlier attribute j into the closure, the rule "i adds j" skips
@@ -18,265 +22,124 @@ descended into or the node is left.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
+from .bits import RowSet, set_bits
 from .cbo import EnumerationStats
 from .context import AttributeRemap, FormalContext
 from .errors import PruningSoundnessError
 
-# Below these sizes the conditional database is kept unmerged; splitting and
-# merging such small row sets costs more than it saves.
-SMALL_DB_ROWS = 6
-SMALL_DB_ATTRS = 2
-
 
 @dataclass
 class ConditionalDatabase:
-    """An extent-restricted, attribute-reduced projection of the context.
+    """The context restricted to one extent, reduced to its live attributes.
 
-    Rows are split at the anchor: the suffix part holds live attributes above
-    it (candidates for deeper recursion), the prefix part holds attributes
-    below it.  When rows identical on the suffix are merged, the prefix part
-    becomes the intersection of the merged originals (the interior
-    intersection), which is exactly what later canonicity checks need.
+    The extent is a row bitset of the source context.  Live attributes occur
+    in the extent without covering it and reach the minimum support; they are
+    split at the anchor into suffix attributes above it (candidates for
+    deeper recursion) and prefix attributes below it.  A prefix attribute
+    enters a child's closure exactly when its column covers the child extent,
+    which is all the later canonicity checks need.
     """
 
+    ctx: FormalContext
     anchor: int
     prefix_attrs: tuple[int, ...]
     suffix_attrs: tuple[int, ...]
-    prefix_rows: list[Sequence[int]]
-    suffix_rows: list[Sequence[int]]
-    weights: list[int]
+    extent: RowSet
     extent_weight: int
-    origins: list[Sequence[int]] | None = None  # context row indices, when extents are wanted
 
     @property
     def num_rows(self) -> int:
-        return len(self.suffix_rows)
+        return len(self.extent)
 
     def validate(self) -> None:
-        counts: dict[int, int] = {}
-        for prefix, suffix, w in zip(self.prefix_rows, self.suffix_rows, self.weights):
-            assert w >= 1
-            for a in prefix:
-                assert a < self.anchor
-                counts[a] = counts.get(a, 0) + w
-            for a in suffix:
-                assert a > self.anchor
-                counts[a] = counts.get(a, 0) + w
-        assert sum(self.weights) == self.extent_weight
-        for a in self.suffix_attrs:
-            assert 0 < counts.get(a, 0) < self.extent_weight, f"suffix attribute {a} full or empty"
-
-
-class Bucket:
-    """One delivered attribute extent: row indices into the database plus their weight."""
-
-    __slots__ = ("rows", "weight")
-
-    def __init__(self):
-        self.rows: list[int] = []
-        self.weight = 0
-
-    def reset(self) -> None:
-        self.rows.clear()
-        self.weight = 0
-
-
-class BucketArena:
-    """Reusable bucket storage, keyed by attribute.
-
-    With the right-to-left sweep, a subtree only ever delivers into buckets of
-    attributes above its own anchor, all of which belong to subtrees that are
-    already finished - so one arena per enumeration run is safe.
-    """
-
-    def __init__(self):
-        self._buckets: dict[int, Bucket] = {}
-
-    def acquire(self, attr: int) -> Bucket:
-        bucket = self._buckets.get(attr)
-        if bucket is None:
-            bucket = self._buckets[attr] = Bucket()
-        else:
-            bucket.reset()
-        return bucket
+        ctx = self.ctx
+        assert ctx.weight_of(self.extent) == self.extent_weight
+        assert all(a < self.anchor for a in self.prefix_attrs)
+        assert all(a > self.anchor for a in self.suffix_attrs)
+        for a in self.prefix_attrs + self.suffix_attrs:
+            count = ctx.weight_of(self.extent & ctx.columns[a])
+            assert 0 < count < self.extent_weight, f"live attribute {a} full or empty"
 
 
 class Buckets:
     """The per-attribute extents produced by one occurrence-deliver pass."""
 
-    def __init__(self, entries: dict[int, Bucket]):
-        self._entries = entries
+    def __init__(self, ctx: FormalContext, extents: dict[int, RowSet]):
+        self._ctx = ctx
+        self._extents = extents
 
     def attributes(self) -> list[int]:
-        return sorted(self._entries)
+        return sorted(self._extents)
 
-    def rows(self, attr: int) -> list[int]:
-        return self._entries[attr].rows
+    def rows(self, attr: int) -> RowSet:
+        return self._extents[attr]
 
     def weight(self, attr: int) -> int:
-        return self._entries[attr].weight
+        return self._ctx.weight_of(self._extents[attr])
 
 
-def occurrence_deliver(
-    db: ConditionalDatabase,
-    targets: Iterable[int] | None = None,
-    arena: BucketArena | None = None,
-) -> Buckets:
-    """Fill one bucket per target attribute in a single traversal of the rows.
+def occurrence_deliver(db: ConditionalDatabase, targets: Iterable[int] | None = None) -> Buckets:
+    """Fill one bucket per target attribute: the extent ANDed with its column.
 
-    ``targets`` defaults to all suffix attributes.  Buckets come from the
-    arena, overwriting storage left behind by already-finalized attributes.
+    ``targets`` defaults to all suffix attributes.
     """
-    if arena is None:
-        arena = BucketArena()
-    if targets is None:
-        target_list: Iterable[int] = db.suffix_attrs
-        wanted = None
-    else:
-        target_list = sorted(targets)
-        wanted = set(target_list)
-    entries = {a: arena.acquire(a) for a in target_list}
-    weights = db.weights
-    for idx, row in enumerate(db.suffix_rows):
-        w = weights[idx]
-        for a in row:
-            if wanted is None or a in wanted:
-                bucket = entries[a]
-                bucket.rows.append(idx)
-                bucket.weight += w
-    return Buckets(entries)
+    extent = db.extent
+    columns = db.ctx.columns
+    attrs = db.suffix_attrs if targets is None else targets
+    return Buckets(db.ctx, {a: RowSet(extent & columns[a]) for a in attrs})
 
 
-def frequencies(
-    db: ConditionalDatabase, extent: Iterable[int] | None = None
-) -> tuple[dict[int, int], int]:
+def frequencies(db: ConditionalDatabase, extent: int | None = None) -> tuple[dict[int, int], int]:
     """Weighted frequency of every live attribute (prefix and suffix) plus the extent weight.
 
-    One traversal, restricted to ``extent`` row indices when given.
+    Restricted to the ``extent`` row bitset when given; attributes that do not
+    occur there are left out.
     """
-    counts: dict[int, int] = {}
+    if extent is None:
+        extent = db.extent
+    columns = db.ctx.columns
+    attrs = db.prefix_attrs + db.suffix_attrs
+    cols = [columns[a] for a in attrs]
+    counts = [0] * len(attrs)
     weight = 0
-    indices = range(db.num_rows) if extent is None else extent
-    weights = db.weights
-    prefix_rows = db.prefix_rows
-    suffix_rows = db.suffix_rows
-    for idx in indices:
-        w = weights[idx]
-        weight += w
-        for a in prefix_rows[idx]:
-            counts[a] = counts.get(a, 0) + w
-        for a in suffix_rows[idx]:
-            counts[a] = counts.get(a, 0) + w
-    return counts, weight
+    for k, plane in enumerate(db.ctx.weight_planes):
+        part = extent & plane  # the extent's rows whose weight has bit k set
+        if part:
+            weight += part.bit_count() << k
+            counts = [n + ((part & col).bit_count() << k) for n, col in zip(counts, cols)]
+    return {a: n for a, n in zip(attrs, counts) if n}, weight
 
 
 def create_conditional_db(
     db: ConditionalDatabase,
-    extent: Iterable[int],
-    live: Iterable[int],
+    extent: int,
     anchor: int,
     min_support: int = 0,
     *,
-    counts: dict[int, int] | None = None,
-    small_db_rows: int = SMALL_DB_ROWS,
-    small_db_attrs: int = SMALL_DB_ATTRS,
+    counted: tuple[dict[int, int], int] | None = None,
 ) -> ConditionalDatabase:
     """Project ``db`` onto an extent for recursion below ``anchor``.
 
     Full, empty, and infrequent attributes are dropped; live attributes below
-    the anchor move into the prefix; rows identical on the suffix are merged
-    with summed weights and intersected prefixes.  Merging is skipped when the
-    restricted database is small (fewer than ``small_db_rows`` rows or fewer
-    than ``small_db_attrs`` suffix attributes).
+    the anchor move into the prefix.  ``counted`` is ``frequencies(db, extent)``
+    when the caller already has it.
     """
-    extent = list(extent)
-    if counts is None:
-        counts, extent_weight = frequencies(db, extent)
-    else:
-        extent_weight = sum(db.weights[idx] for idx in extent)
+    counts, extent_weight = counted if counted is not None else frequencies(db, extent)
     threshold = max(1, min_support)
-    keep_suffix = tuple(
-        a for a in sorted(live) if a > anchor and threshold <= counts.get(a, 0) < extent_weight
-    )
-    keep_prefix_set = {
-        a for a in live if a < anchor and threshold <= counts.get(a, 0) < extent_weight
-    }
-    suffix_set = set(keep_suffix)
-
-    rows_prefix: list[Sequence[int]] = []
-    rows_suffix: list[Sequence[int]] = []
-    weights: list[int] = []
-    origins: list[Sequence[int]] | None = [] if db.origins is not None else None
-    for idx in extent:
-        old_prefix = db.prefix_rows[idx]
-        old_suffix = db.suffix_rows[idx]
-        prefix = [a for a in old_prefix if a in keep_prefix_set]
-        suffix = []
-        for a in old_suffix:
-            if a in suffix_set:
-                suffix.append(a)
-            elif a < anchor and a in keep_prefix_set:
-                prefix.append(a)
-        rows_prefix.append(prefix)
-        rows_suffix.append(suffix)
-        weights.append(db.weights[idx])
-        if origins is not None:
-            origins.append(db.origins[idx])
-
-    merge = len(rows_suffix) >= small_db_rows and len(keep_suffix) >= small_db_attrs
-    if merge:
-        index_of: dict[tuple[int, ...], int] = {}
-        m_prefix: list[Sequence[int]] = []
-        m_suffix: list[Sequence[int]] = []
-        m_weights: list[int] = []
-        m_origins: list[list[int]] | None = [] if origins is not None else None
-        for at, suffix in enumerate(rows_suffix):
-            key = tuple(suffix)
-            pos = index_of.get(key)
-            if pos is None:
-                index_of[key] = len(m_suffix)
-                m_suffix.append(suffix)
-                m_prefix.append(rows_prefix[at])
-                m_weights.append(weights[at])
-                if m_origins is not None:
-                    m_origins.append(list(origins[at]))
-            else:
-                m_weights[pos] += weights[at]
-                m_prefix[pos] = _intersect_sorted(m_prefix[pos], rows_prefix[at])
-                if m_origins is not None:
-                    m_origins[pos].extend(origins[at])
-        rows_prefix, rows_suffix, weights = m_prefix, m_suffix, m_weights
-        origins = m_origins
-
-    live_prefix = sorted({a for row in rows_prefix for a in row})
+    kept = [a for a in sorted(counts) if threshold <= counts[a] < extent_weight]
+    split = bisect_left(kept, anchor)
     return ConditionalDatabase(
+        ctx=db.ctx,
         anchor=anchor,
-        prefix_attrs=tuple(live_prefix),
-        suffix_attrs=keep_suffix,
-        prefix_rows=rows_prefix,
-        suffix_rows=rows_suffix,
-        weights=weights,
+        prefix_attrs=tuple(kept[:split]),
+        suffix_attrs=tuple(kept[split:]),
+        extent=RowSet(extent),
         extent_weight=extent_weight,
-        origins=origins,
     )
-
-
-def _intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 class _Rule:
@@ -342,24 +205,21 @@ class PruneRuleStore:
             del self._left_alive[left]
 
 
-def root_database(ctx: FormalContext, with_origins: bool = False) -> ConditionalDatabase:
-    """Wrap a context as the anchor-0 conditional database (rows are shared, not copied)."""
+def root_database(ctx: FormalContext) -> ConditionalDatabase:
+    """Wrap a context as the anchor-0 conditional database over all of its rows."""
     live = tuple(a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] > 0)
-    empty: tuple[int, ...] = ()
     return ConditionalDatabase(
+        ctx=ctx,
         anchor=0,
         prefix_attrs=(),
         suffix_attrs=live,
-        prefix_rows=[empty] * ctx.num_objects,
-        suffix_rows=ctx.rows,
-        weights=ctx.weights,
+        extent=RowSet((1 << ctx.num_objects) - 1),
         extent_weight=ctx.total_weight,
-        origins=[(x,) for x in range(ctx.num_objects)] if with_origins else None,
     )
 
 
 class _Runner:
-    """State for one enumeration run: options, counters, rule store, bucket arena."""
+    """State for one enumeration run: options, counters, rule store."""
 
     def __init__(
         self,
@@ -372,9 +232,6 @@ class _Runner:
         with_extents: bool,
         check_pruning: bool,
         node_inspector: Callable | None,
-        reuse_arena: bool,
-        small_db_rows: int,
-        small_db_attrs: int,
         fp_engine=None,
     ):
         self.ctx = ctx
@@ -386,9 +243,6 @@ class _Runner:
         self.check_pruning = check_pruning
         self.node_inspector = node_inspector
         self.rules = PruneRuleStore() if pruning else None
-        self.arena = BucketArena() if reuse_arena else None
-        self.small_db_rows = small_db_rows
-        self.small_db_attrs = small_db_attrs
         self.fp_engine = fp_engine
 
     def run(self) -> Iterator:
@@ -398,8 +252,8 @@ class _Runner:
         ctx = self.ctx
         if ctx.total_weight < self.min_support:
             return
-        db = root_database(ctx, with_origins=self.with_extents)
-        violator = yield from self._generate(db, range(db.num_rows), (), 0)
+        db = root_database(ctx)
+        violator = yield from self._generate(db, db.extent, (), 0)
         assert violator == 0  # the root cannot fail the canonicity test
         if self.rules is not None:
             assert len(self.rules) == 0, "rule store not empty after the root call"
@@ -419,30 +273,27 @@ class _Runner:
     def _generate(self, db: ConditionalDatabase, extent, closed: tuple[int, ...], anchor: int):
         st = self.stats
         st.recursive_calls += 1
-        counts, extent_weight = frequencies(db, extent)
         st.closure_computations += 1
-        live = sorted(counts)
         if self.rules is not None:
             self.rules.remove_rules_by_right_side(anchor)
-        for a in live:
+        # Canonicity first, stopping at the smallest live attribute below the
+        # anchor whose column covers the extent.
+        columns = self.ctx.columns
+        for a in db.prefix_attrs + db.suffix_attrs:
             if a >= anchor:
                 break
-            if counts[a] == extent_weight:
+            if columns[a] & extent == extent:
                 st.canonicity_failures += 1
                 return a
-        closed = _merge_into(closed, (a for a in live if a > anchor and counts[a] == extent_weight))
+        counts, extent_weight = frequencies(db, extent)
+        closed = _merge_into(
+            closed, (a for a in db.suffix_attrs if a > anchor and counts.get(a) == extent_weight)
+        )
         st.concepts_emitted += 1
-        yield self._emit(closed, extent_weight, db, extent)
+        yield self._emit(closed, extent_weight, extent)
 
         child_db = create_conditional_db(
-            db,
-            extent,
-            live,
-            anchor,
-            self.min_weight,
-            counts=counts,
-            small_db_rows=self.small_db_rows,
-            small_db_attrs=self.small_db_attrs,
+            db, extent, anchor, self.min_weight, counted=(counts, extent_weight)
         )
         st.conditional_dbs_built += 1
         if not child_db.suffix_attrs:
@@ -450,7 +301,7 @@ class _Runner:
         if self.fp_engine is not None and self.fp_engine.accepts(child_db):
             yield from self.fp_engine.mine(child_db, closed, self)
             return 0
-        buckets = occurrence_deliver(child_db, None, self.arena)
+        buckets = occurrence_deliver(child_db)
         if self.node_inspector is not None:
             self.node_inspector(
                 self._original(closed),
@@ -473,34 +324,18 @@ class _Runner:
             self.rules.pop_frame()
         return 0
 
-    def _emit(self, closed: tuple[int, ...], weight: int, db: ConditionalDatabase, extent):
+    def _emit(self, closed: tuple[int, ...], weight: int, extent: int | None = None):
+        """A Concept in original attribute ids; an FP-tree node passes no extent."""
         from .derive import Concept
 
         extent_ids = None
         if self.with_extents:
-            if db.origins is not None:
-                rows: list[int] = []
-                for idx in extent:
-                    rows.extend(db.origins[idx])
-                extent_ids = tuple(sorted(rows))
-            else:
-                extent_ids = self._scan_extent(closed)
+            if extent is None:
+                extent = (1 << self.ctx.num_objects) - 1
+                for a in closed:
+                    extent &= self.ctx.columns[a]
+            extent_ids = tuple(set_bits(extent))
         return Concept(self._original(closed), weight, extent_ids)
-
-    def _emit_intent(self, closed: tuple[int, ...], weight: int):
-        # Emission path for the FP-tree engine, whose nodes carry no row origins.
-        from .derive import Concept
-
-        extent_ids = self._scan_extent(closed) if self.with_extents else None
-        return Concept(self._original(closed), weight, extent_ids)
-
-    def _scan_extent(self, closed: tuple[int, ...]) -> tuple[int, ...]:
-        want = 0
-        for a in closed:
-            want |= 1 << (a - 1)
-        return tuple(
-            x for x, mask in enumerate(self.ctx.row_masks) if mask & want == want
-        )
 
     def _original(self, ids: Iterable[int]) -> tuple[int, ...]:
         if self.remap is None:
@@ -543,9 +378,6 @@ def lcm2_enumerate(
     with_extents: bool = False,
     check_pruning: bool = False,
     node_inspector: Callable | None = None,
-    reuse_arena: bool = True,
-    small_db_rows: int = SMALL_DB_ROWS,
-    small_db_attrs: int = SMALL_DB_ATTRS,
 ) -> Iterator:
     """Enumerate frequent closed attribute sets of a preprocessed context.
 
@@ -564,8 +396,5 @@ def lcm2_enumerate(
         with_extents=with_extents,
         check_pruning=check_pruning,
         node_inspector=node_inspector,
-        reuse_arena=reuse_arena,
-        small_db_rows=small_db_rows,
-        small_db_attrs=small_db_attrs,
     )
     yield from runner.run()

@@ -38,7 +38,6 @@ def mine_concepts(
     stats: EnumerationStats | None = None,
     check_pruning: bool = False,
     node_inspector=None,
-    reuse_arena: bool = True,
 ) -> list[Concept]:
     """Mine all closed attribute sets of ``ctx`` with weighted support >= min_support.
 
@@ -83,7 +82,6 @@ def mine_concepts(
                 with_extents=with_extents,
                 check_pruning=check_pruning,
                 node_inspector=node_inspector,
-                reuse_arena=reuse_arena,
             )
         ]
     else:
@@ -99,7 +97,6 @@ def mine_concepts(
                 with_extents=with_extents,
                 check_pruning=check_pruning,
                 node_inspector=node_inspector,
-                reuse_arena=reuse_arena,
             )
         ]
 

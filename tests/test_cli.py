@@ -73,6 +73,8 @@ def test_mine_algorithm_specific_flags_rejected(tmp_path):
     data.write_text(K1_TEXT)
     assert run_cli(["mine", str(data), "--algorithm", "cbo", "--no-pruning"]) == 3
     assert run_cli(["mine", str(data), "--algorithm", "lcm2", "--dense-width", "4"]) == 3
+    # lcm3 runs the rule store in its wide phase, so it takes --no-pruning
+    assert run_cli(["mine", str(data), "--algorithm", "lcm3", "--no-pruning"]) == 0
 
 
 def test_mine_naive_capacity_exits_4(tmp_path):
@@ -86,6 +88,15 @@ def test_mine_dense_width_capacity_exits_4(tmp_path):
     data.write_text(K1_TEXT)
     code = run_cli(["mine", str(data), "--algorithm", "lcm3", "--dense-width", "1000000"])
     assert code == 4
+
+
+def test_mine_too_deep_exits_4(tmp_path, capsys):
+    # A 1,200-attribute staircase (row i = {1..i}) recurses past Python's limit.
+    data = tmp_path / "staircase.dat"
+    data.write_text("".join(" ".join(map(str, range(1, i + 1))) + "\n" for i in range(1, 1201)))
+    assert run_cli(["mine", str(data), "--algorithm", "cbo", "-o", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "recursion limit" in err
 
 
 def test_mine_reads_stdin(monkeypatch, capsys):
@@ -230,6 +241,14 @@ def test_bench_digest_mismatch_exits_5(tmp_path, capsys, monkeypatch):
     code = run_cli(["bench", str(data), "--algorithms", "cbo,lcm2", "--min-support", "1"])
     assert code == 5
     assert "disagree" in capsys.readouterr().err
+
+
+def test_bench_bad_dense_width_exits_4(tmp_path, capsys):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    code = run_cli(["bench", str(data), "--algorithms", "lcm3", "--dense-width", "-1"])
+    assert code == 4
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_bench_function_checks_digests(k1):

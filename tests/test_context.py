@@ -133,6 +133,14 @@ def test_preprocess_drops_empty_rows_keeps_rows_emptied_by_filtering():
     assert set().union(*merge.groups) == {0, 2, 3}
 
 
+def test_preprocess_orders_rows_by_descending_weight():
+    ctx = FormalContext([[1], [2], [1, 2], [2], [1, 2], [2]])
+    pre, _, merge = preprocess(ctx, 0, sort_attributes=False)
+    assert pre.rows == [[2], [1, 2], [1]]
+    assert pre.weights == [3, 2, 1]
+    assert merge.groups == ((1, 3, 5), (2, 4), (0,))
+
+
 def test_preprocess_object_sort():
     ctx = FormalContext([[1], [1, 2], [1, 2, 3]])
     pre, _, merge = preprocess(ctx, 0, sort_objects=True, sort_attributes=False)
@@ -203,3 +211,30 @@ def test_context_validate_catches_bad_cardinalities():
     ctx.attr_cardinality[1] = 7
     with pytest.raises(AssertionError):
         ctx.validate()
+
+
+def test_columns_and_weight_planes_k1():
+    ctx = FormalContext(K1_ROWS, weights=[1, 2, 3, 4])
+    assert ctx.columns[1:] == [0b0011, 0b0101, 0b1111, 0b1000]
+    assert ctx.weight_planes == [0b0101, 0b0110, 0b1000]  # weights 1, 2, 3, 4
+    assert ctx.weight_of(0b1111) == ctx.total_weight == 10
+    assert ctx.weight_of(ctx.columns[2]) == 4
+    assert ctx.weight_of(0) == 0
+
+
+def test_weight_of_matches_down_property():
+    # The popcount over weight bit-planes equals the summed row weights.
+    for i in range(25):
+        ctx = random_context(i)
+        pre, _, _ = preprocess(ctx, 0)
+        for a in range(1, pre.num_attributes + 1):
+            assert pre.weight_of(pre.columns[a]) == pre.attr_cardinality[a]
+        for a, b in zip(range(1, pre.num_attributes), range(2, pre.num_attributes + 1)):
+            rows = pre.columns[a] & pre.columns[b]
+            assert pre.weight_of(rows) == down(pre, (a, b)).weighted_size
+
+
+def test_weight_of_empty_context():
+    ctx = FormalContext([], num_attributes=0)
+    assert ctx.columns == [0] and ctx.weight_planes == []
+    assert ctx.weight_of(0) == 0

@@ -14,7 +14,7 @@ from conceptmine import (
     preprocess,
     root_database,
 )
-from conceptmine.lcm import BucketArena
+from conceptmine.bits import RowSet, set_bits
 
 from conftest import K1_CONCEPTS, concept_set, random_context
 
@@ -23,13 +23,19 @@ def k1_root_db():
     return root_database(FormalContext([[1, 2, 3], [1, 3], [2, 3], [3, 4]]))
 
 
+def members(rows):
+    return list(set_bits(rows))
+
+
 def test_occurrence_deliver_k1_root():
     # Root node after closing {3}: live children are 1, 2, 4.
-    db = create_conditional_db(k1_root_db(), range(4), [1, 2, 4], 0)
+    root = k1_root_db()
+    db = create_conditional_db(root, root.extent, 0)
     buckets = occurrence_deliver(db, [1, 2, 4])
-    assert buckets.rows(1) == [0, 1] and buckets.weight(1) == 2
-    assert buckets.rows(2) == [0, 2] and buckets.weight(2) == 2
-    assert buckets.rows(4) == [3] and buckets.weight(4) == 1
+    assert members(buckets.rows(1)) == [0, 1] and buckets.weight(1) == 2
+    assert members(buckets.rows(2)) == [0, 2] and buckets.weight(2) == 2
+    assert members(buckets.rows(4)) == [3] and buckets.weight(4) == 1
+    assert len(buckets.rows(4)) == 1  # a bucket's len() is its row count
 
 
 def test_occurrence_deliver_no_targets():
@@ -40,16 +46,14 @@ def test_occurrence_deliver_no_targets():
 def test_occurrence_deliver_single_row():
     db = root_database(FormalContext([[1, 2]]))
     buckets = occurrence_deliver(db, [1, 2])
-    assert buckets.rows(1) == buckets.rows(2) == [0]
+    assert members(buckets.rows(1)) == members(buckets.rows(2)) == [0]
 
 
-def test_occurrence_deliver_reuses_arena_storage():
-    arena = BucketArena()
-    db = k1_root_db()
-    first = occurrence_deliver(db, [3], arena)
-    kept = first.rows(3)
-    second = occurrence_deliver(db, [3], arena)
-    assert second.rows(3) is kept  # same list object, refilled
+def test_occurrence_deliver_weighted_rows():
+    db = root_database(FormalContext([[1, 2], [1], [2]], weights=[3, 5, 6]))
+    buckets = occurrence_deliver(db)
+    assert members(buckets.rows(1)) == [0, 1] and buckets.weight(1) == 8
+    assert members(buckets.rows(2)) == [0, 2] and buckets.weight(2) == 9
 
 
 def test_frequencies_k1_root():
@@ -59,14 +63,15 @@ def test_frequencies_k1_root():
 
 
 def test_frequencies_counts_interior_intersections():
-    # Conditional database built below: rows ({}, w2) and (prefix {1,2} / suffix {5}, w1).
+    # Conditional database built below: prefix attributes {1, 2}, suffix {5}.
+    # The prefix attributes stand where interior intersections stood in a
+    # row-merging database, and are counted like the suffix ones.
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(
-        base, range(3), [1, 2, 3, 4, 5], 3, small_db_rows=0, small_db_attrs=0
-    )
+    db = create_conditional_db(base, base.extent, 3)
     counts, weight = frequencies(db)
-    assert counts == {5: 1, 1: 1, 2: 1}
+    assert counts == {5: 1, 1: 2, 2: 2}
     assert weight == 3
+    assert frequencies(db, RowSet(0b110)) == ({1: 1, 2: 2, 5: 1}, 2)
 
 
 def test_frequencies_empty_db():
@@ -77,38 +82,34 @@ def test_frequencies_empty_db():
 
 
 def test_create_conditional_db_steps():
-    """Full attribute 4 and empty attribute 3 drop; rows with equal suffixes merge
-    with intersected prefixes."""
+    """Full attribute 4 and empty attribute 3 drop; live attributes split at the anchor."""
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(
-        base, range(3), [1, 2, 3, 4, 5], 3, small_db_rows=0, small_db_attrs=0
-    )
+    db = create_conditional_db(base, base.extent, 3)
     assert db.suffix_attrs == (5,)
     assert db.prefix_attrs == (1, 2)
-    rows = sorted(zip(map(tuple, db.prefix_rows), map(tuple, db.suffix_rows), db.weights))
-    assert rows == [((), (), 2), ((1, 2), (5,), 1)]
+    assert members(db.extent) == [0, 1, 2] and db.num_rows == 3
     assert db.extent_weight == 3
     db.validate()
 
 
-def test_create_conditional_db_small_threshold_skips_merge():
+def test_create_conditional_db_drops_infrequent():
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, range(3), [1, 2, 3, 4, 5], 3)  # defaults: 3 rows < 6
-    assert db.num_rows == 3
-    assert db.weights == [1, 1, 1]
+    db = create_conditional_db(base, base.extent, 3, 2)
+    assert db.suffix_attrs == ()  # 5 occurs once
+    assert db.prefix_attrs == (1, 2)
     db.validate()
 
 
 def test_create_conditional_db_mid_tree_node():
     # K1 at the node with intent {1,3}: extent rows 0 and 1, anchor 1.
-    db = create_conditional_db(k1_root_db(), [0, 1], [2, 4], 1)
+    db = create_conditional_db(k1_root_db(), RowSet(0b11), 1)
     assert db.suffix_attrs == (2,)
-    assert sorted(map(tuple, db.suffix_rows)) == [(), (2,)]  # rows differ, nothing merges
+    assert members(occurrence_deliver(db).rows(2)) == [0]
     assert db.extent_weight == 2
 
 
 def test_create_conditional_db_single_row():
-    db = create_conditional_db(k1_root_db(), [0], [1, 2, 4], 0)
+    db = create_conditional_db(k1_root_db(), RowSet(0b1), 0)
     # a one-row database has every attribute full: nothing survives
     assert db.suffix_attrs == ()
     assert db.extent_weight == 1
@@ -236,22 +237,14 @@ def test_lcm2_interior_intersection_canonicity():
         if len(live) < 2:
             continue
         anchor = live[len(live) // 2]
-        child = create_conditional_db(db, range(db.num_rows), live, anchor)
+        child = create_conditional_db(db, db.extent, anchor)
         for extent_attr in child.suffix_attrs:
-            buckets = occurrence_deliver(child, [extent_attr])
-            sub_counts, sub_weight = frequencies(child, buckets.rows(extent_attr))
+            rows = occurrence_deliver(child, [extent_attr]).rows(extent_attr)
+            sub_counts, sub_weight = frequencies(child, rows)
             closed = closure(pre, (extent_attr,))
             for p in child.prefix_attrs:
                 assert (sub_counts.get(p, 0) == sub_weight) == (p in closed)
-
-
-def test_lcm2_arena_toggle_changes_nothing(k1):
-    for i in range(10):
-        ctx = random_context(i)
-        pre, remap, _ = preprocess(ctx, 1)
-        a = concept_set(lcm2_enumerate(pre, 1, remap=remap, reuse_arena=True))
-        b = concept_set(lcm2_enumerate(pre, 1, remap=remap, reuse_arena=False))
-        assert a == b
+                assert (pre.columns[p] & rows == rows) == (p in closed)
 
 
 def test_lcm2_extents(k1):
@@ -286,14 +279,3 @@ def test_preprocessing_options_never_change_the_concept_set():
                 )
                 assert got == oracle, (i, sort_attrs, sort_objs, merge, algorithm)
 
-
-def test_lcm2_small_db_threshold_both_settings():
-    for i in range(12):
-        ctx = random_context(i)
-        pre, remap, _ = preprocess(ctx, 1)
-        merged = concept_set(lcm2_enumerate(pre, 1, remap=remap, small_db_rows=0, small_db_attrs=0))
-        unmerged = concept_set(
-            lcm2_enumerate(pre, 1, remap=remap, small_db_rows=10**9, small_db_attrs=10**9)
-        )
-        default = concept_set(lcm2_enumerate(pre, 1, remap=remap))
-        assert merged == unmerged == default
