@@ -136,7 +136,8 @@ def _resolve_dense_width(text: str | None):
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    with open(path, newline="") as f:  # no newline translation: the parsers end lines
+        return f.read()
 
 
 def _load_context(path: str, fmt: str):

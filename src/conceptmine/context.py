@@ -33,7 +33,8 @@ class FormalContext:
 
     Invariants: every row is strictly ascending with ids in 1..num_attributes,
     every weight is >= 1, and ``attr_cardinality[y]`` is the weighted number of
-    rows containing ``y`` (index 0 is unused padding).
+    rows containing ``y`` (index 0 is unused padding).  Equal rows share one
+    list object, so rows must not be modified in place.
     """
 
     def __init__(
@@ -44,14 +45,23 @@ class FormalContext:
         object_names: Sequence[str] | None = None,
         attr_names: Sequence[str] | None = None,
     ):
-        self.rows: list[list[int]] = [sorted(set(row)) for row in rows]
+        # Equal input rows normalise to one shared list, so the id checks and the
+        # cardinality count below run once per distinct row.
+        distinct: dict[tuple, list[int]] = {}
+        self.rows: list[list[int]] = []
+        for row in rows:
+            key = tuple(row)
+            normal = distinct.get(key)
+            if normal is None:
+                normal = distinct[key] = sorted(set(key))
+            self.rows.append(normal)
         if weights is None:
             self.weights = [1] * len(self.rows)
         else:
             self.weights = list(weights)
             if len(self.weights) != len(self.rows):
                 raise ValueError("weights and rows differ in length")
-        highest = max((row[-1] for row in self.rows if row), default=0)
+        highest = max((row[-1] for row in distinct.values() if row), default=0)
         if num_attributes is None:
             num_attributes = highest
         elif highest > num_attributes:
@@ -60,12 +70,17 @@ class FormalContext:
         self.object_names = list(object_names) if object_names is not None else None
         self.attr_names = list(attr_names) if attr_names is not None else None
 
-        card = [0] * (num_attributes + 1)
+        lowest = min((row[0] for row in distinct.values() if row), default=1)
+        if lowest < 1:
+            raise ValueError(f"attribute id {lowest} out of range (ids start at 1)")
+        summed: dict[int, int] = {}  # id of a row in ``distinct`` -> its total weight
         for row, w in zip(self.rows, self.weights):
-            if row and row[0] < 1:
-                raise ValueError(f"attribute id {row[0]} out of range (ids start at 1)")
             if w < 1:
                 raise ValueError("row weights must be positive")
+            summed[id(row)] = summed.get(id(row), 0) + w
+        card = [0] * (num_attributes + 1)
+        for row in distinct.values():
+            w = summed[id(row)]
             for a in row:
                 card[a] += w
         self.attr_cardinality = card
@@ -184,32 +199,53 @@ class ObjectMerge:
         return tuple(sorted(out))
 
 
+def _lines(text: str) -> list[str]:
+    """Split input into lines at ``\n`` only, dropping one trailing ``\r`` per line.
+
+    Unlike ``str.splitlines``, form feeds, vertical tabs, the Unicode line and
+    paragraph separators and the like stay inside their line.  A final
+    newline does not start an extra empty line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
+
+
+def _item_id(token: str) -> int:
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    elif token[0] == "-" and token[1:].isascii() and token[1:].isdigit():
+        raise ParseError(f"negative item id {token}")
+    raise ParseError(f"expected an integer item id, got {token!r}")
+
+
 def parse_fimi(source: str | bytes | IO) -> tuple[FormalContext, AttributeRemap]:
     """Parse a FIMI transaction file: one whitespace-separated id list per line.
 
-    Blank lines are empty rows.  Duplicate ids within a line are collapsed.
-    Observed ids are renumbered densely (ascending) to 1..k; the remap records
-    the original ids.
+    Lines end at ``\n`` (a trailing ``\r`` is dropped) and item ids are ASCII
+    decimal numbers.  Blank lines are empty rows.  Duplicate ids within a line
+    are collapsed.  Observed ids are renumbered densely (ascending) to 1..k;
+    the remap records the original ids.  Each distinct line is parsed, and
+    each distinct id set renumbered, once; equal rows share one list.
     """
-    text = _as_text(source)
-    raw_rows: list[list[int]] = []
-    observed: set[int] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        items: set[int] = set()
-        for token in line.split():
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"expected an integer item id, got {token!r}", lineno) from None
-            if value < 0:
-                raise ParseError(f"negative item id {value}", lineno)
-            items.add(value)
-        observed.update(items)
-        raw_rows.append(sorted(items))
-    ordered = sorted(observed)
+    lines = _lines(_as_text(source))
+    parsed: dict[str, tuple[int, ...]] = {}  # line text -> ascending distinct ids
+    for line in dict.fromkeys(lines):  # distinct lines in order of first occurrence
+        try:
+            parsed[line] = tuple(sorted({_item_id(token) for token in line.split()}))
+        except ParseError as exc:
+            raise ParseError(str(exc), lines.index(line) + 1) from None
+    ordered = sorted(set().union(*parsed.values()))
     old_to_new = {old: new for new, old in enumerate(ordered, start=1)}
-    rows = [[old_to_new[a] for a in row] for row in raw_rows]
-    ctx = FormalContext(rows, num_attributes=len(ordered))
+    renumbered = {raw: [old_to_new[a] for a in raw] for raw in set(parsed.values())}
+    row_of = {line: renumbered[raw] for line, raw in parsed.items()}
+    ctx = FormalContext(list(map(row_of.__getitem__, lines)), num_attributes=len(ordered))
     return ctx, AttributeRemap(tuple(ordered), old_to_new)
 
 
@@ -220,7 +256,7 @@ def parse_cxt(source: str | bytes | IO) -> tuple[FormalContext, AttributeRemap]:
     a blank line, object names, attribute names, then one '.'/'X' line per
     object.  Names are kept on the returned context.
     """
-    lines = _as_text(source).splitlines()
+    lines = _lines(_as_text(source))
     pos = 0
 
     def take(what: str) -> str:
@@ -306,40 +342,37 @@ def preprocess(
     old_to_new = {old: new for new, old in enumerate(retained, start=1)}
     remap = AttributeRemap(tuple(retained), old_to_new)
 
-    kept: list[tuple[int, list[int], int]] = []  # (original index, mapped row, weight)
-    for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights)):
-        if not row:
-            continue  # originally empty rows carry no support for any itemset
-        mapped = sorted(old_to_new[a] for a in row if a in old_to_new)
-        kept.append((x, mapped, w))
-    if sort_objects:
-        kept.sort(key=lambda item: (-len(item[1]), item[0]))
-
+    # One pass over the objects.  Each distinct row is mapped once and gets
+    # the slot of its mapped row (a fresh slot per object without merging).
+    # ``seen`` holds every row it keys by id.
+    seen: dict[int, tuple[list[int], list[int], int]] = {}  # id -> (row, mapped, slot)
+    slot_of: dict[tuple[int, ...], int] = {}
     rows: list[list[int]] = []
     weights: list[int] = []
     groups: list[list[int]] = []
-    if merge_rows:
-        index_of: dict[tuple[int, ...], int] = {}
-        for x, mapped, w in kept:
-            key = tuple(mapped)
-            at = index_of.get(key)
-            if at is None:
-                index_of[key] = len(rows)
-                rows.append(mapped)
-                weights.append(w)
-                groups.append([x])
-            else:
-                weights[at] += w
-                groups[at].append(x)
-    else:
-        for x, mapped, w in kept:
+    for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights)):
+        if not row:
+            continue  # originally empty rows carry no support for any itemset
+        hit = seen.get(id(row))
+        if hit is None:
+            mapped = sorted(old_to_new[a] for a in row if a in old_to_new)
+            hit = seen[id(row)] = (row, mapped, slot_of.setdefault(tuple(mapped), len(rows)))
+        _, mapped, at = hit
+        if at == len(rows) or not merge_rows:
+            at = len(rows)
             rows.append(mapped)
-            weights.append(w)
-            groups.append([x])
+            weights.append(0)
+            groups.append([])
+        weights[at] += w
+        groups[at].append(x)
 
     # Heaviest rows first (stably): the weight bit-planes above plane 0 then
     # span only the low row bits, which keeps weighted popcounts cheap.
-    order = sorted(range(len(rows)), key=lambda r: -weights[r])
+    # ``sort_objects`` breaks weight ties by descending length.
+    if sort_objects:
+        order = sorted(range(len(rows)), key=lambda r: (-weights[r], -len(rows[r])))
+    else:
+        order = sorted(range(len(rows)), key=lambda r: -weights[r])
     new_ctx = FormalContext(
         [rows[r] for r in order], [weights[r] for r in order], num_attributes=len(retained)
     )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conceptmine import concept_digest, mine_concepts, parse_fimi
 from conceptmine.cli import bench, generate_context, main
 
@@ -64,6 +66,21 @@ def test_mine_missing_file_exits_1(tmp_path):
 def test_mine_parse_error_exits_2(tmp_path, capsys):
     data = tmp_path / "bad.dat"
     data.write_text("1 2\nfoo\n")
+    assert run_cli(["mine", str(data)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_mine_file_lines_end_only_at_newline(tmp_path, capsys):
+    data = tmp_path / "cr.dat"
+    data.write_bytes(b"1\r2\r\n1 2\n")
+    assert run_cli(["mine", str(data), "--min-support", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1 2 (2)"]
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "-4"])
+def test_mine_bad_item_id_exits_2(tmp_path, capsys, token):
+    data = tmp_path / "bad.dat"
+    data.write_text(f"1 2\n2 {token}\n")
     assert run_cli(["mine", str(data)]) == 2
     assert "line 2" in capsys.readouterr().err
 

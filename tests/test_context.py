@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from conceptmine import (
@@ -5,6 +8,7 @@ from conceptmine import (
     ParseError,
     compose_remaps,
     down,
+    mine_concepts,
     parse_cxt,
     parse_fimi,
     preprocess,
@@ -56,6 +60,115 @@ def test_parse_fimi_rejects_bad_tokens():
         parse_fimi("-4\n")
 
 
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("1 2\n3\n", [[1, 2], [3]]),
+        ("1 2\n3", [[1, 2], [3]]),
+        ("1 2\r\n3\r\n", [[1, 2], [3]]),
+        ("1 2\r\n3", [[1, 2], [3]]),
+        ("1\n\n", [[1], []]),
+        ("\n", [[]]),
+    ],
+)
+def test_parse_fimi_line_endings(text, rows):
+    assert parse_fimi(text)[0].rows == rows
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_fimi_breaks_lines_only_at_newline(sep):
+    ctx, _ = parse_fimi(f"1 2{sep}3\n4\n")
+    assert ctx.rows == [[1, 2, 3], [4]]
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "\u00b2"])
+def test_parse_fimi_accepts_only_ascii_decimal_ids(token):
+    with pytest.raises(ParseError) as caught:
+        parse_fimi(f"1 2\n5 {token}\n")
+    assert str(caught.value) == f"line 2: expected an integer item id, got {token!r}"
+
+
+def test_parse_fimi_overlong_id_is_a_parse_error():
+    # beyond the interpreter's limit on digits converted by int()
+    with pytest.raises(ParseError, match="line 1: expected an integer item id"):
+        parse_fimi("9" * 5000 + "\n")
+
+
+def test_parse_fimi_negative_id_message():
+    with pytest.raises(ParseError, match="line 1: negative item id -4"):
+        parse_fimi("-4\n")
+
+
+def test_parse_fimi_bad_token_on_repeated_line_reports_first_line():
+    with pytest.raises(ParseError, match="line 4"):
+        parse_fimi("1 2\n5\n1 2\n7 y\n1 2\n7 y\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_fimi("1\n3 x\n1\n3 x\n")
+
+
+def _duplicate_heavy_fimi(seed: int) -> tuple[str, list[set[int]]]:
+    """FIMI text of equal, permuted-equal and blank lines, and the id set of each line."""
+    rng = random.Random(seed)
+    patterns = [rng.sample([2, 5, 8, 13, 21, 34], rng.randint(1, 5)) for _ in range(7)]
+    lines, items = [], []
+    for _ in range(300):
+        if rng.random() < 0.08:
+            lines.append(rng.choice(["", "  ", "\t"]))
+            items.append(set())
+            continue
+        tokens = [str(a) for a in rng.choice(patterns)]
+        tokens += rng.sample(tokens, rng.randint(0, 1))  # a repeated id
+        rng.shuffle(tokens)
+        lines.append(rng.choice([" ", "  ", "\t"]).join(tokens))
+        items.append({int(t) for t in tokens})
+    return "\n".join(lines), items  # the final line has no newline
+
+
+def _reference_concepts(items: list[set[int]], min_support: int):
+    """Every closed id set with support >= min_support, by brute force over the rows."""
+    universe = sorted(set().union(*items))
+    found = set()
+    for size in range(len(universe) + 1):
+        for intent in combinations(universe, size):
+            extent = tuple(x for x, row in enumerate(items) if row.issuperset(intent))
+            closed = set(universe).intersection(*(items[x] for x in extent))
+            if closed == set(intent) and len(extent) >= min_support:
+                found.add((intent, len(extent), extent))
+    return found
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_parse_fimi_duplicate_heavy_matches_line_by_line_reference(seed):
+    text, items = _duplicate_heavy_fimi(seed)
+    ctx, remap = parse_fimi(text)
+    ordered = sorted(set().union(*items))
+    assert remap.new_to_old == tuple(ordered)
+    assert remap.old_to_new == {old: new for new, old in enumerate(ordered, start=1)}
+    assert ctx.rows == [sorted(remap.old_to_new[a] for a in row) for row in items]
+    assert ctx.weights == [1] * len(items)
+    assert ctx.attr_cardinality == [0] + [sum(a in row for row in items) for a in ordered]
+    ctx.validate()
+    # equal rows share one list
+    assert len({id(row) for row in ctx.rows}) == len({tuple(row) for row in ctx.rows})
+
+    engines = [
+        ("naive", {}),
+        ("cbo", {}),
+        ("lcm2", {}),
+        ("lcm2", {"pruning": False, "merge_rows": False}),
+        ("lcm3", {"dense_width": 0, "sort_objects": True}),
+        ("lcm3", {}),
+    ]
+    for s in (0, 1, 40):
+        want = _reference_concepts(items, s)
+        for algorithm, options in engines:
+            mined = mine_concepts(
+                ctx, s, algorithm=algorithm, with_extents=True, base_remap=remap, **options
+            )
+            got = {(c.intent, c.support, c.extent) for c in mined}
+            assert got == want, (algorithm, options, s)
+
+
 CXT_MINIMAL = "B\n\n1\n1\n\nobj\nattr\nX\n"
 
 
@@ -89,6 +202,13 @@ def test_parse_cxt_errors_carry_line_numbers():
         parse_cxt("B\n\n1\n2\n\no\na1\na2\nX\n")  # row shorter than attribute count
     with pytest.raises(ParseError, match="illegal"):
         parse_cxt("B\n\n1\n1\n\no\na\n?\n")
+
+
+def test_parse_cxt_crlf_and_separators_inside_names():
+    ctx, _ = parse_cxt("B\r\n\r\n2\r\n1\r\n\r\no\x0c1\r\no\u20282\r\na\x1c\r\nX\r\n.\r\n")
+    assert ctx.object_names == ["o\x0c1", "o\u20282"]
+    assert ctx.attr_names == ["a\x1c"]
+    assert ctx.rows == [[1], []]
 
 
 def test_preprocess_k1_attribute_order():
@@ -146,6 +266,79 @@ def test_preprocess_object_sort():
     pre, _, merge = preprocess(ctx, 0, sort_objects=True, sort_attributes=False)
     assert [len(r) for r in pre.rows] == [3, 2, 1]
     assert merge.groups == ((2,), (1,), (0,))
+
+
+def _reference_preprocess(ctx, min_support, sort_attributes, sort_objects, merge_rows):
+    """Rows, weights and groups of ``preprocess``, mapping and merging object by object."""
+    threshold = max(1, min_support)
+    retained = [a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= threshold]
+    if sort_attributes:
+        retained.sort(key=lambda a: (-ctx.attr_cardinality[a], a))
+    new = {old: k for k, old in enumerate(retained, start=1)}
+    kept = [
+        (x, sorted(new[a] for a in row if a in new), w)
+        for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights))
+        if row
+    ]
+    if sort_objects:
+        kept.sort(key=lambda item: (-len(item[1]), item[0]))
+    merged: dict = {}
+    for x, mapped, w in kept:
+        key = tuple(mapped) if merge_rows else x
+        row, weight, group = merged.get(key, (mapped, 0, []))
+        merged[key] = (row, weight + w, group + [x])
+    ordered = sorted(merged.values(), key=lambda item: -item[1])
+    return [r for r, _, _ in ordered], [w for _, w, _ in ordered], [tuple(g) for _, _, g in ordered]
+
+
+def test_preprocess_matches_object_by_object_reference():
+    rng = random.Random(5)
+    for i in range(30):
+        patterns = [rng.sample(range(1, 9), rng.randint(0, 6)) for _ in range(rng.randint(1, 6))]
+        rows = [list(rng.choice(patterns)) for _ in range(rng.randint(1, 40))]
+        if i % 2:  # fresh lists, equal rows not shared
+            ctx = FormalContext(rows, weights=[rng.randint(1, 4) for _ in rows], num_attributes=8)
+        else:
+            ctx, _ = parse_fimi("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        for s in (0, 3, 8):
+            for sort_attributes in (True, False):
+                for sort_objects in (True, False):
+                    for merge_rows in (True, False):
+                        options = (sort_attributes, sort_objects, merge_rows)
+                        pre, _, merge = preprocess(
+                            ctx,
+                            s,
+                            sort_attributes=sort_attributes,
+                            sort_objects=sort_objects,
+                            merge_rows=merge_rows,
+                        )
+                        want = _reference_preprocess(ctx, s, *options)
+                        assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s, options)
+                        pre.validate()
+
+
+def test_context_from_generator_of_fresh_lists():
+    # Each fresh list is freed once read, so the next fresh one may take its
+    # id; a memo keyed on the ids of lists it does not hold would mix them up.
+    shared = [4]
+    ctx = FormalContext(shared if x % 2 else [x % 3 + 1] for x in range(12))
+    assert ctx.rows == [[1], [4], [3], [4], [2], [4]] * 2
+    assert ctx.attr_cardinality == [0, 2, 2, 2, 6]
+    ctx = FormalContext(([2, 1, 2] for _ in range(6)))
+    assert ctx.rows == [[1, 2]] * 6
+    assert ctx.attr_cardinality == [0, 6, 6]
+    ctx.validate()
+
+
+def test_context_rejects_bad_rows_and_weights():
+    with pytest.raises(ValueError, match="out of range"):
+        FormalContext([[1], [0, 1], [1]])
+    with pytest.raises(ValueError, match="exceeds"):
+        FormalContext([[1], [5], [1]], num_attributes=4)
+    with pytest.raises(ValueError, match="positive"):
+        FormalContext([[1], [1], [1]], weights=[1, 0, 1])
+    with pytest.raises(ValueError, match="differ in length"):
+        FormalContext([[1], [1]], weights=[1])
 
 
 def test_preprocess_no_merge_option():
