@@ -57,6 +57,17 @@ def generate_context(
     return FormalContext(rows, num_attributes=num_attributes)
 
 
+def _generate_from_args(args) -> FormalContext:
+    """:func:`generate_context` for the parsed ``--seed/--objects/--attributes/--density``."""
+    for name in ("seed", "objects", "attributes"):
+        value = getattr(args, name)
+        if value < 0:
+            raise _UsageError(f"--{name} must be non-negative, got {value}")
+    if not 0.0 <= args.density <= 1.0:  # false for NaN as well
+        raise _UsageError(f"--density must lie in [0, 1], got {args.density}")
+    return generate_context(args.seed, args.objects, args.attributes, args.density)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="conceptmine", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,11 +157,9 @@ def _load_context(path: str, fmt: str):
 
 
 def _format_concept(c, with_extents: bool) -> str:
-    parts = [str(a) for a in c.intent]
-    parts.append(f"({c.support})")
-    line = " ".join(parts)
+    line = " ".join([*map(str, c.intent), f"({c.support})"])
     if with_extents:
-        line = (line + " / " + " ".join(str(x) for x in c.extent)).rstrip()
+        line = (line + " / " + " ".join(map(str, c.extent))).rstrip()
     return line
 
 
@@ -195,7 +204,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    ctx = generate_context(args.seed, args.objects, args.attributes, args.density)
+    ctx = _generate_from_args(args)
     payload = "".join(" ".join(str(a) for a in row) + "\n" for row in ctx.rows)
     if args.output:
         Path(args.output).write_text(payload)
@@ -258,7 +267,7 @@ def _cmd_bench(args) -> int:
     else:
         if args.objects is None or args.attributes is None or args.density is None:
             raise _UsageError("bench needs an input file or --objects/--attributes/--density")
-        ctx = generate_context(args.seed, args.objects, args.attributes, args.density)
+        ctx = _generate_from_args(args)
         remap = None
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for a in algorithms:

@@ -123,10 +123,24 @@ class FormalContext:
 
     def weight_of(self, rows: int) -> int:
         """Exact weighted size of a row bitset: popcounts over the weight bit-planes."""
-        planes = self.weight_planes
-        if len(planes) == 1:
-            return rows.bit_count()  # every weight is 1
-        return sum((rows & plane).bit_count() << k for k, plane in enumerate(planes))
+        return self.column_weights(rows, ())[1]
+
+    def column_weights(self, rows: int, attrs: Sequence[int]) -> tuple[list[int], int]:
+        """Weighted size of ``rows`` within each attribute's column, and of ``rows`` itself.
+
+        Plane k of the weights contributes the popcount of its rows ANDed with
+        a column, shifted left by k.
+        """
+        columns = self.columns
+        cols = [columns[a] for a in attrs]
+        counts = [0] * len(cols)
+        weight = 0
+        for k, plane in enumerate(self.weight_planes):
+            part = rows & plane  # the rows whose weight has bit k set
+            if part:
+                weight += part.bit_count() << k
+                counts = [n + ((part & col).bit_count() << k) for n, col in zip(counts, cols)]
+        return counts, weight
 
     def validate(self) -> None:
         """Recheck every structural invariant by rescanning the rows."""

@@ -20,8 +20,15 @@ until a node's live attribute universe fits within ``dense_width``, then
 hands the whole subtree to the tree engine: the tree is built from the rows
 of the node's extent bitset, each row's mask cut to the live attributes;
 lists act as the delivered buckets, conditional trees replace conditional
-databases, and canonicity is read off the inner intersections.  Extents of
-the concepts it emits are ANDs of the intent's attribute columns.
+databases, and canonicity is read off the inner intersections.  The engine
+carries each node's extent bitset down the recursion.  Before it builds a
+conditional tree it counts the candidate attributes - those below the key
+and outside the closure - on the columns within the child extent, and
+projects the paths onto the frequent ones, as LCM ver. 3 builds conditional
+databases from frequent items only.  Infrequent and closure attributes thus
+never get lists, while the inner bit-arrays keep every live attribute for
+the closure and canonicity readings.  Emitted extents are the carried
+bitsets.
 """
 
 from __future__ import annotations
@@ -65,8 +72,9 @@ class CompleteFpTree:
     ``lists[a]`` maps path bit-arrays to nodes (the bit-array is the node
     identity); ``totals[a]`` is the weighted size of list a.  ``path_mask``
     limits which attributes participate in path sets - attributes outside it
-    (the prefix attributes of a conditional database) appear only inside
-    ``inner`` bit-arrays.
+    (the prefix attributes of a conditional database, and in the engine's
+    conditional trees the infrequent and closure attributes) appear only
+    inside ``inner`` bit-arrays.
     """
 
     def __init__(self, width: int, path_mask: int | None = None):
@@ -160,20 +168,28 @@ def build_complete_fptree(
     return tree
 
 
-def conditional_fptree(tree: CompleteFpTree, attr: int, min_support: int = 0) -> CompleteFpTree:
+def conditional_fptree(
+    tree: CompleteFpTree, attr: int, min_support: int = 0, *, keep: int | None = None
+) -> CompleteFpTree:
     """Extract the conditional tree for ``attr``: its list extended with the key removed.
 
-    The result spans only attributes more frequent than ``attr``; lists whose
-    weighted size falls below ``min_support`` are dropped after the extension.
+    The result spans only attributes more frequent than ``attr``.  ``keep`` is
+    a bit-array of the attributes the caller counted as frequent and outside
+    the closure; the list's paths are projected onto it before the extension,
+    so no other attribute gets a list and ``min_support`` is not needed.
+    Without it, lists whose weighted size falls below ``min_support`` are
+    dropped after the extension.
     """
-    sub = CompleteFpTree(attr - 1, path_mask=tree.path_mask & ((1 << (attr - 1)) - 1))
-    bit = 1 << (attr - 1)
+    path_mask = tree.path_mask & ((1 << (attr - 1)) - 1)
+    if keep is not None:
+        path_mask &= keep
+    sub = CompleteFpTree(attr - 1, path_mask=path_mask)
     for node in tree.lists.get(attr, {}).values():
-        parent = node.path_set ^ bit
+        parent = node.path_set & path_mask
         if parent:
             sub._push(parent, node.weight, node.inner)
     sub._extend(attr - 1)
-    if min_support > 0:
+    if keep is None and min_support > 0:
         for key in [k for k, total in sub.totals.items() if total < min_support]:
             del sub.lists[key]
             del sub.totals[key]
@@ -223,33 +239,28 @@ class _FpEngine:
             if mask & suffix_mask:  # rows without live suffix attributes feed no deeper extent
                 tree._push(mask & suffix_mask, weights[x], mask & live_mask)
         tree._extend(width)
-        yield from self._mine(tree, 0, closed, suffix_mask, prefix_mask, runner)
+        yield from self._mine(tree, db.extent, 0, closed, suffix_mask, prefix_mask, runner)
 
     def _mine(
         self,
         tree: CompleteFpTree,
+        extent: int,
         found: int,
         closed: tuple[int, ...],
         suffix_mask: int,
         prefix_mask: int,
         runner: _Runner,
     ) -> Iterator:
+        # ``extent`` is the row bitset of the node; every list of ``tree`` is
+        # frequent within it and outside its closure ``found``.
         st = runner.stats
+        columns = runner.ctx.columns
         if runner.node_inspector is not None:
             runner.node_inspector(
                 runner._original(_merge_ids(closed, found & suffix_mask)),
-                {
-                    runner._original_id(a): tree.totals[a]
-                    for a in sorted(tree.lists)
-                    if not found >> (a - 1) & 1
-                },
+                {runner._original_id(a): tree.totals[a] for a in sorted(tree.lists)},
             )
         for attr in sorted(tree.lists):
-            if found >> (attr - 1) & 1:
-                continue  # already inside the closed set via an earlier closure
-            weight = tree.totals[attr]
-            if weight < runner.min_weight:
-                continue
             st.recursive_calls += 1
             st.closure_computations += 1
             inter = -1
@@ -262,12 +273,20 @@ class _FpEngine:
                 st.canonicity_failures += 1
                 continue
             new_found = inter & suffix_mask
+            child = extent & columns[attr]
             st.concepts_emitted += 1
-            yield runner._emit(_merge_ids(closed, new_found), weight)
-            sub = conditional_fptree(tree, attr, runner.min_weight)
+            yield runner._emit(_merge_ids(closed, new_found), tree.totals[attr], child)
+            # Count the candidates on the columns, so that the conditional tree
+            # is built from the frequent attributes outside the closure only.
+            candidates = ids_of(tree.path_mask & ((1 << (attr - 1)) - 1) & ~inter)
+            counts, _ = runner.ctx.column_weights(child, candidates)
+            keep = mask_of(a for a, n in zip(candidates, counts) if n >= runner.min_weight)
+            sub = conditional_fptree(tree, attr, keep=keep)
             st.conditional_dbs_built += 1
             if sub.lists:
-                yield from self._mine(sub, new_found, closed, suffix_mask, prefix_mask, runner)
+                yield from self._mine(
+                    sub, child, new_found, closed, suffix_mask, prefix_mask, runner
+                )
 
 
 def lcm3_enumerate(

@@ -5,7 +5,7 @@ closures and canonicity are decided from attribute frequencies: within the
 current extent, an attribute belongs to the closure exactly when its weighted
 frequency equals the extent weight.  The databases are vertical: an extent is
 a row bitset, an attribute's frequency is the weighted popcount of the extent
-ANDed with its column (see :meth:`FormalContext.weight_of`), and an attribute
+ANDed with its column (:meth:`FormalContext.column_weights`), and an attribute
 is full exactly when its column covers the extent.  Each node's conditional
 database is its extent plus the live attributes - constant, empty and
 infrequent ones dropped - split at the anchor into suffix candidates and the
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .bits import RowSet, set_bits
@@ -99,18 +100,8 @@ def frequencies(db: ConditionalDatabase, extent: int | None = None) -> tuple[dic
     Restricted to the ``extent`` row bitset when given; attributes that do not
     occur there are left out.
     """
-    if extent is None:
-        extent = db.extent
-    columns = db.ctx.columns
     attrs = db.prefix_attrs + db.suffix_attrs
-    cols = [columns[a] for a in attrs]
-    counts = [0] * len(attrs)
-    weight = 0
-    for k, plane in enumerate(db.ctx.weight_planes):
-        part = extent & plane  # the extent's rows whose weight has bit k set
-        if part:
-            weight += part.bit_count() << k
-            counts = [n + ((part & col).bit_count() << k) for n, col in zip(counts, cols)]
+    counts, weight = db.ctx.column_weights(db.extent if extent is None else extent, attrs)
     return {a: n for a, n in zip(attrs, counts) if n}, weight
 
 
@@ -277,9 +268,10 @@ class _Runner:
         if self.rules is not None:
             self.rules.remove_rules_by_right_side(anchor)
         # Canonicity first, stopping at the smallest live attribute below the
-        # anchor whose column covers the extent.
+        # anchor whose column covers the extent.  Chained, not concatenated: a
+        # copy of the live attributes per call is quadratic on wide rows.
         columns = self.ctx.columns
-        for a in db.prefix_attrs + db.suffix_attrs:
+        for a in chain(db.prefix_attrs, db.suffix_attrs):
             if a >= anchor:
                 break
             if columns[a] & extent == extent:
@@ -324,17 +316,11 @@ class _Runner:
             self.rules.pop_frame()
         return 0
 
-    def _emit(self, closed: tuple[int, ...], weight: int, extent: int | None = None):
-        """A Concept in original attribute ids; an FP-tree node passes no extent."""
+    def _emit(self, closed: tuple[int, ...], weight: int, extent: int):
+        """A Concept in original attribute ids, with the row ids of ``extent`` when asked."""
         from .derive import Concept
 
-        extent_ids = None
-        if self.with_extents:
-            if extent is None:
-                extent = (1 << self.ctx.num_objects) - 1
-                for a in closed:
-                    extent &= self.ctx.columns[a]
-            extent_ids = tuple(set_bits(extent))
+        extent_ids = tuple(set_bits(extent)) if self.with_extents else None
         return Concept(self._original(closed), weight, extent_ids)
 
     def _original(self, ids: Iterable[int]) -> tuple[int, ...]:

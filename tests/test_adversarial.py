@@ -2,17 +2,20 @@
 
 Staircases (row i = {1..i}) have only n concepts but about n^2/2 canonicity
 failures, contranominal scales (row i = all attributes but i) have all 2^n
-attribute sets as concepts, and duplicate-heavy weighted rows exercise row
-merging together with caller-given weights.  Every engine must agree, and
-agree with the exhaustive oracle where the context has at most 24 attributes.
+attribute sets as concepts, duplicate-heavy weighted rows exercise row
+merging together with caller-given weights, and a single very wide row gives
+every node thousands of live attributes.  Every engine must agree, and agree
+with the exhaustive oracle where the context has at most 24 attributes.
 """
 
+import math
 import random
 import time
 
 import pytest
 
 from conceptmine import FormalContext, enumerate_naive, mine_concepts
+from conceptmine.fptree import DEFAULT_DENSE_WIDTH
 
 from conftest import concept_set
 
@@ -100,3 +103,49 @@ def test_staircase_lcm2_not_asymptotically_worse_than_cbo():
     cbo_s = best_time("cbo")
     lcm2_s = best_time("lcm2")
     assert lcm2_s <= 5 * cbo_s + 0.5, (lcm2_s, cbo_s)
+
+
+def wide_row(width: int = 20_000) -> FormalContext:
+    # One row over every attribute plus three narrow rows.
+    return FormalContext([list(range(1, width + 1)), [1, 2], [1, 3], [4]])
+
+
+def best_time(ctx, algorithm, support=0, **options):
+    times = []
+    for _ in range(2):
+        started = time.perf_counter()
+        mine_concepts(ctx, support, algorithm=algorithm, **options)
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+def test_single_wide_row_all_engines():
+    narrow = {((), 4), ((1,), 3), ((1, 2), 2), ((1, 3), 2), ((4,), 2)}
+    wide = (tuple(range(1, 20_001)), 1)
+
+    def want(s):
+        return narrow | {wide} if s <= 1 else narrow
+
+    ctx = wide_row()
+    assert [len(want(s)) for s in (0, 1, 2)] == [6, 6, 5]
+    assert_engines_agree(ctx, (0, 1, 2), want)
+    # After preprocessing at s=2 only the four narrow attributes remain, within
+    # the exhaustive oracle's attribute cap.
+    assert concept_set(mine_concepts(ctx, 2, algorithm="naive")) == want(2)
+
+
+def test_single_wide_row_no_engine_asymptotically_worse_than_cbo():
+    ctx = wide_row()
+    cbo_s = best_time(ctx, "cbo", 1)
+    for algorithm, engine_options in ENGINES:
+        if algorithm != "cbo":
+            engine_s = best_time(ctx, algorithm, 1, **engine_options)
+            assert engine_s <= 5 * cbo_s + 0.5, (algorithm, engine_options, engine_s, cbo_s)
+
+
+@pytest.mark.parametrize("dense_width", [DEFAULT_DENSE_WIDTH, math.inf])
+def test_staircase_lcm3_not_asymptotically_worse_than_cbo(dense_width):
+    ctx = staircase(200)
+    cbo_s = best_time(ctx, "cbo")
+    lcm3_s = best_time(ctx, "lcm3", dense_width=dense_width)
+    assert lcm3_s <= 5 * cbo_s + 0.5, (lcm3_s, cbo_s)

@@ -202,6 +202,53 @@ def test_generate_same_seed_same_context():
     assert a.rows == b.rows
 
 
+def assert_usage_error(args, capsys, flag):
+    assert run_cli(args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+
+
+def test_gen_negative_objects_exits_3(capsys):
+    args = ["gen", "--seed", "1", "--objects", "-1", "--attributes", "3", "--density", "0.5"]
+    assert_usage_error(args, capsys, "--objects")
+
+
+def test_gen_negative_seed_exits_3(capsys):
+    args = ["gen", "--seed", "-1", "--objects", "4", "--attributes", "3", "--density", "0.5"]
+    assert_usage_error(args, capsys, "--seed")
+
+
+def test_gen_nan_density_exits_3(capsys):
+    args = ["gen", "--seed", "1", "--objects", "4", "--attributes", "3", "--density", "nan"]
+    assert_usage_error(args, capsys, "--density")
+
+
+def test_bench_density_above_one_exits_3(capsys):
+    args = ["bench", "--objects", "10", "--attributes", "3", "--density", "2"]
+    assert_usage_error(args, capsys, "--density")
+
+
+def test_gen_negative_attributes_exits_3(capsys):
+    args = ["gen", "--seed", "1", "--objects", "4", "--attributes", "-2", "--density", "0.5"]
+    assert_usage_error(args, capsys, "--attributes")
+
+
+def test_generate_context_keeps_value_error():
+    for density in (float("nan"), -0.1, 2.0):
+        with pytest.raises(ValueError):
+            generate_context(1, 4, 3, density)
+
+
+def test_format_concept_lines():
+    from conceptmine.cli import _format_concept
+    from conceptmine.derive import Concept
+
+    assert _format_concept(Concept((), 4, ()), False) == "(4)"
+    assert _format_concept(Concept((), 4, ()), True) == "(4) /"
+    assert _format_concept(Concept((1, 20), 0, ()), True) == "1 20 (0) /"
+    assert _format_concept(Concept((3,), 2, (0, 11)), True) == "3 (2) / 0 11"
+
+
 def test_bench_csv(tmp_path, capsys):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from conceptmine import (
@@ -203,3 +206,88 @@ def test_lcm3_extents_match_oracle():
         oracle = {c.intent: c.extent for c in enumerate_naive(ctx, 1, with_extents=True)}
         mined = mine_concepts(ctx, 1, algorithm="lcm3", dense_width=None, with_extents=True)
         assert {c.intent: c.extent for c in mined} == oracle
+
+
+def survey_like(seed: int) -> FormalContext:
+    """Dense categorical records with exact implications, a small mushroom-like table.
+
+    80 objects answer 6 questions with 3 values each, mostly as one of 3
+    prototypes do; each value of the first 3 questions implies a coarse bucket.
+    """
+    rng = random.Random(seed)
+    features, values = 6, 3
+    prototypes = [[rng.randrange(values) for _ in range(features)] for _ in range(3)]
+    rows = []
+    for _ in range(80):
+        proto = rng.choice(prototypes)
+        answers = [v if rng.random() < 0.7 else rng.randrange(values) for v in proto]
+        row = [f * values + v + 1 for f, v in enumerate(answers)]
+        row += [features * values + 1 + 2 * f + answers[f] // 2 for f in range(3)]
+        rows.append(row)
+    return FormalContext(rows)
+
+
+# EnumerationStats.as_dict() values of lcm3 on survey_like(0), recorded with
+# the conditional trees built by extending whole lists and deleting the
+# infrequent ones afterwards; building them reduced must not move a counter.
+SURVEY_LIKE_STATS = {
+    (1, 4): (657, 1496, 1496, 839, 1325, 657),
+    (1, 128): (657, 1046, 1046, 389, 0, 657),
+    (1, None): (657, 1046, 1046, 389, 0, 657),
+    (5, 4): (469, 688, 688, 219, 247, 469),
+    (5, 128): (469, 520, 520, 51, 0, 469),
+    (5, None): (469, 520, 520, 51, 0, 469),
+    (16, 4): (203, 235, 235, 32, 58, 203),
+    (16, 128): (203, 208, 208, 5, 0, 203),
+    (16, None): (203, 208, 208, 5, 0, 203),
+}
+
+
+def test_lcm3_with_extents_matches_lcm2_on_dense_implications():
+    from conceptmine import mine_concepts
+
+    for seed in range(3):
+        ctx = survey_like(seed)
+        for s in (1, 5, 16):
+            reference = {
+                (c.intent, c.support, c.extent)
+                for c in mine_concepts(ctx, s, algorithm="lcm2", with_extents=True)
+            }
+            for width in (4, 128, math.inf):
+                stats = EnumerationStats()
+                mined = mine_concepts(
+                    ctx, s, algorithm="lcm3", dense_width=width, with_extents=True, stats=stats
+                )
+                assert {(c.intent, c.support, c.extent) for c in mined} == reference
+                if seed == 0:
+                    key = (s, None if math.isinf(width) else width)
+                    assert tuple(stats.as_dict().values()) == SURVEY_LIKE_STATS[key]
+
+
+def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
+    # Wrap the module-level builder the engine calls and check every tree it returns.
+    from conceptmine import fptree, mine_concepts
+
+    original = fptree.conditional_fptree
+    built = []
+
+    def checked(tree, attr, *args, **kwargs):
+        sub = original(tree, attr, *args, **kwargs)
+        sub.validate()
+        closure_bits = -1
+        for node in tree.lists[attr].values():
+            closure_bits &= node.inner
+        for key in sub.lists:
+            assert sub.totals[key] >= min_weight, (attr, key)
+            assert not closure_bits >> (key - 1) & 1, (attr, key)
+        built.append(len(sub.lists))
+        return sub
+
+    monkeypatch.setattr(fptree, "conditional_fptree", checked)
+    contexts = [survey_like(seed) for seed in range(2)] + [random_context(i) for i in range(12)]
+    for ctx in contexts:
+        for s in (0, 2, 6):
+            min_weight = max(1, s)
+            for width in (4, 128, None):
+                mine_concepts(ctx, s, algorithm="lcm3", dense_width=width)
+    assert sum(built) > 1000  # the engine built many non-empty trees through the wrapper
