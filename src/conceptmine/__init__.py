@@ -5,7 +5,7 @@ Four engines over one data model: an exhaustive oracle, Close-by-One, LCM2
 (complete FP-trees with inner intersections for the dense parts).
 """
 
-from .cbo import CanonicityOutcome, EnumerationStats, canonicity_test, cbo_enumerate
+from .cbo import cbo_enumerate
 from .context import (
     AttributeRemap,
     FormalContext,
@@ -15,7 +15,7 @@ from .context import (
     parse_fimi,
     preprocess,
 )
-from .derive import Concept, ObjectSet, closure, down, enumerate_naive, up
+from .derive import Concept, EnumerationStats, ObjectSet, closure, down, enumerate_naive, up
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -44,7 +44,6 @@ from .mining import concept_digest, mine_concepts
 
 __all__ = [
     "AttributeRemap",
-    "CanonicityOutcome",
     "CapacityError",
     "CompleteFpTree",
     "Concept",
@@ -60,7 +59,6 @@ __all__ = [
     "PruneRuleStore",
     "PruningSoundnessError",
     "build_complete_fptree",
-    "canonicity_test",
     "cbo_enumerate",
     "closure",
     "compose_remaps",

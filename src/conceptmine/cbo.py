@@ -8,59 +8,11 @@ reproducible traces; the order does not affect the emitted set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .bits import ids_of
 from .context import FormalContext
-
-
-@dataclass
-class EnumerationStats:
-    """Traversal counters shared by every engine.
-
-    For CbO and the LCM engines every recursive call either emits a concept or
-    fails the canonicity test, so concepts_emitted + canonicity_failures equals
-    recursive_calls.
-    """
-
-    concepts_emitted: int = 0
-    recursive_calls: int = 0
-    closure_computations: int = 0
-    canonicity_failures: int = 0
-    pruning_rule_hits: int = 0
-    conditional_dbs_built: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "concepts_emitted": self.concepts_emitted,
-            "recursive_calls": self.recursive_calls,
-            "closure_computations": self.closure_computations,
-            "canonicity_failures": self.canonicity_failures,
-            "pruning_rule_hits": self.pruning_rule_hits,
-            "conditional_dbs_built": self.conditional_dbs_built,
-        }
-
-
-@dataclass(frozen=True)
-class CanonicityOutcome:
-    passed: bool
-    violator: int | None = None
-
-
-def canonicity_test(B: Iterable[int], D: Iterable[int], i: int) -> CanonicityOutcome:
-    """Check D cut below i equals B cut below i; on failure report the smallest intruder.
-
-    B must be a subset of D (D is the closure of B plus the attribute i).
-    """
-    b = set(B)
-    smallest = None
-    for a in D:
-        if a < i and a not in b and (smallest is None or a < smallest):
-            smallest = a
-    if smallest is None:
-        return CanonicityOutcome(True)
-    return CanonicityOutcome(False, smallest)
+from .derive import Concept, EnumerationStats
 
 
 def cbo_enumerate(
@@ -70,8 +22,6 @@ def cbo_enumerate(
     with_extents: bool = False,
     stats: EnumerationStats | None = None,
 ) -> Iterator:
-    from .derive import Concept  # local import to avoid a cycle
-
     st = stats if stats is not None else EnumerationStats()
     if ctx.total_weight < min_support:
         return

@@ -16,10 +16,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .cbo import EnumerationStats
 from .context import FormalContext, parse_cxt, parse_fimi
+from .derive import EnumerationStats
 from .errors import CapacityError, ConfigurationError, DigestMismatchError, ParseError
 from .fptree import DEFAULT_DENSE_WIDTH
 from .mining import ALGORITHMS, concept_digest, mine_concepts
@@ -49,6 +47,8 @@ def generate_context(
     Driven by numpy's PCG64 generator, so equal seeds give bit-identical
     contexts on every platform.
     """
+    import numpy as np  # here, not at module level, so that mining never loads numpy
+
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -91,7 +91,6 @@ def _build_parser() -> _Parser:
     mine.add_argument("--with-extents", action="store_true", help="append object ids per itemset")
     mine.add_argument("--sorted", action="store_true", help="sort output lines by itemset")
     mine.add_argument("--no-attr-sort", action="store_true")
-    mine.add_argument("--sort-objects", action="store_true")
     mine.add_argument("--no-merge-rows", action="store_true")
     mine.add_argument("--output", "-o", default=None, help="output file (default stdout)")
     mine.add_argument("--stats", default=None, help="write run statistics as JSON to this file")
@@ -179,7 +178,6 @@ def _cmd_mine(args) -> int:
         pruning=not args.no_pruning,
         dense_width=_resolve_dense_width(args.dense_width),
         sort_attributes=not args.no_attr_sort,
-        sort_objects=args.sort_objects,
         merge_rows=not args.no_merge_rows,
         with_extents=args.with_extents,
         base_remap=remap,

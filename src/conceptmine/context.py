@@ -331,7 +331,6 @@ def preprocess(
     min_support: int = 0,
     *,
     sort_attributes: bool = True,
-    sort_objects: bool = False,
     merge_rows: bool = True,
 ) -> tuple[FormalContext, AttributeRemap, ObjectMerge]:
     """Clean, sort, and weight a context before enumeration.
@@ -341,8 +340,7 @@ def preprocess(
     cardinality order (ties by ascending original id).  Originally empty rows
     are dropped; rows that merely become empty through attribute removal are
     kept so no support weight is lost.  Identical rows merge with summed
-    weights, and rows are ordered by descending weight (``sort_objects``
-    orders rows of equal weight by descending length).  The returned
+    weights, and rows are ordered by descending weight.  The returned
     remap/merge translate results back to the input ids.
     """
     if min_support < 0:
@@ -382,11 +380,7 @@ def preprocess(
 
     # Heaviest rows first (stably): the weight bit-planes above plane 0 then
     # span only the low row bits, which keeps weighted popcounts cheap.
-    # ``sort_objects`` breaks weight ties by descending length.
-    if sort_objects:
-        order = sorted(range(len(rows)), key=lambda r: (-weights[r], -len(rows[r])))
-    else:
-        order = sorted(range(len(rows)), key=lambda r: -weights[r])
+    order = sorted(range(len(rows)), key=lambda r: -weights[r])
     new_ctx = FormalContext(
         [rows[r] for r in order], [weights[r] for r in order], num_attributes=len(retained)
     )

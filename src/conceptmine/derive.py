@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .bits import ids_of
-from .cbo import EnumerationStats
 from .context import FormalContext
 from .errors import CapacityError
 
@@ -34,6 +33,33 @@ class Concept:
     intent: tuple[int, ...]
     support: int
     extent: tuple[int, ...] | None = None
+
+
+@dataclass
+class EnumerationStats:
+    """Traversal counters shared by every engine.
+
+    For CbO and the LCM engines every recursive call either emits a concept or
+    fails the canonicity test, so concepts_emitted + canonicity_failures equals
+    recursive_calls.
+    """
+
+    concepts_emitted: int = 0
+    recursive_calls: int = 0
+    closure_computations: int = 0
+    canonicity_failures: int = 0
+    pruning_rule_hits: int = 0
+    conditional_dbs_built: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "concepts_emitted": self.concepts_emitted,
+            "recursive_calls": self.recursive_calls,
+            "closure_computations": self.closure_computations,
+            "canonicity_failures": self.canonicity_failures,
+            "pruning_rule_hits": self.pruning_rule_hits,
+            "conditional_dbs_built": self.conditional_dbs_built,
+        }
 
 
 def up(ctx: FormalContext, objects: Iterable[int]) -> tuple[int, ...]:

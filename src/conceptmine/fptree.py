@@ -37,8 +37,8 @@ import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import ids_of, mask_of, set_bits
-from .cbo import EnumerationStats
-from .context import AttributeRemap, FormalContext
+from .context import FormalContext
+from .derive import EnumerationStats
 from .errors import ConfigurationError
 from .lcm import ConditionalDatabase, _Runner
 
@@ -169,16 +169,15 @@ def build_complete_fptree(
 
 
 def conditional_fptree(
-    tree: CompleteFpTree, attr: int, min_support: int = 0, *, keep: int | None = None
+    tree: CompleteFpTree, attr: int, *, keep: int | None = None
 ) -> CompleteFpTree:
     """Extract the conditional tree for ``attr``: its list extended with the key removed.
 
     The result spans only attributes more frequent than ``attr``.  ``keep`` is
     a bit-array of the attributes the caller counted as frequent and outside
     the closure; the list's paths are projected onto it before the extension,
-    so no other attribute gets a list and ``min_support`` is not needed.
-    Without it, lists whose weighted size falls below ``min_support`` are
-    dropped after the extension.
+    so no other attribute gets a list.  Without ``keep`` every attribute on
+    the list's paths gets one, whatever its weight.
     """
     path_mask = tree.path_mask & ((1 << (attr - 1)) - 1)
     if keep is not None:
@@ -189,10 +188,6 @@ def conditional_fptree(
         if parent:
             sub._push(parent, node.weight, node.inner)
     sub._extend(attr - 1)
-    if keep is None and min_support > 0:
-        for key in [k for k, total in sub.totals.items() if total < min_support]:
-            del sub.lists[key]
-            del sub.totals[key]
     return sub
 
 
@@ -257,8 +252,8 @@ class _FpEngine:
         columns = runner.ctx.columns
         if runner.node_inspector is not None:
             runner.node_inspector(
-                runner._original(_merge_ids(closed, found & suffix_mask)),
-                {runner._original_id(a): tree.totals[a] for a in sorted(tree.lists)},
+                _merge_ids(closed, found & suffix_mask),
+                {a: tree.totals[a] for a in sorted(tree.lists)},
             )
         for attr in sorted(tree.lists):
             st.recursive_calls += 1
@@ -296,7 +291,6 @@ def lcm3_enumerate(
     *,
     pruning: bool = True,
     stats: EnumerationStats | None = None,
-    remap: AttributeRemap | None = None,
     with_extents: bool = False,
     check_pruning: bool = False,
     node_inspector: Callable | None = None,
@@ -323,7 +317,6 @@ def lcm3_enumerate(
         min_support,
         pruning=pruning,
         stats=stats if stats is not None else EnumerationStats(),
-        remap=remap,
         with_extents=with_extents,
         check_pruning=check_pruning,
         node_inspector=node_inspector,

@@ -28,8 +28,8 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .bits import RowSet, set_bits
-from .cbo import EnumerationStats
-from .context import AttributeRemap, FormalContext
+from .context import FormalContext
+from .derive import Concept, EnumerationStats, closure
 from .errors import PruningSoundnessError
 
 
@@ -66,24 +66,9 @@ class ConditionalDatabase:
             assert 0 < count < self.extent_weight, f"live attribute {a} full or empty"
 
 
-class Buckets:
-    """The per-attribute extents produced by one occurrence-deliver pass."""
-
-    def __init__(self, ctx: FormalContext, extents: dict[int, RowSet]):
-        self._ctx = ctx
-        self._extents = extents
-
-    def attributes(self) -> list[int]:
-        return sorted(self._extents)
-
-    def rows(self, attr: int) -> RowSet:
-        return self._extents[attr]
-
-    def weight(self, attr: int) -> int:
-        return self._ctx.weight_of(self._extents[attr])
-
-
-def occurrence_deliver(db: ConditionalDatabase, targets: Iterable[int] | None = None) -> Buckets:
+def occurrence_deliver(
+    db: ConditionalDatabase, targets: Iterable[int] | None = None
+) -> dict[int, RowSet]:
     """Fill one bucket per target attribute: the extent ANDed with its column.
 
     ``targets`` defaults to all suffix attributes.
@@ -91,7 +76,7 @@ def occurrence_deliver(db: ConditionalDatabase, targets: Iterable[int] | None = 
     extent = db.extent
     columns = db.ctx.columns
     attrs = db.suffix_attrs if targets is None else targets
-    return Buckets(db.ctx, {a: RowSet(extent & columns[a]) for a in attrs})
+    return {a: RowSet(extent & columns[a]) for a in attrs}
 
 
 def frequencies(db: ConditionalDatabase, extent: int | None = None) -> tuple[dict[int, int], int]:
@@ -219,7 +204,6 @@ class _Runner:
         *,
         pruning: bool,
         stats: EnumerationStats,
-        remap: AttributeRemap | None,
         with_extents: bool,
         check_pruning: bool,
         node_inspector: Callable | None,
@@ -229,7 +213,6 @@ class _Runner:
         self.min_support = min_support
         self.min_weight = max(1, min_support)
         self.stats = stats
-        self.remap = remap
         self.with_extents = with_extents
         self.check_pruning = check_pruning
         self.node_inspector = node_inspector
@@ -237,8 +220,6 @@ class _Runner:
         self.fp_engine = fp_engine
 
     def run(self) -> Iterator:
-        from .derive import Concept  # avoid import cycle
-
         st = self.stats
         ctx = self.ctx
         if ctx.total_weight < self.min_support:
@@ -255,11 +236,7 @@ class _Runner:
                 # lattice with an empty extent; counted as one (virtual) visit.
                 st.recursive_calls += 1
                 st.concepts_emitted += 1
-                yield Concept(
-                    self._original(range(1, n + 1)),
-                    0,
-                    () if self.with_extents else None,
-                )
+                yield Concept(tuple(range(1, n + 1)), 0, () if self.with_extents else None)
 
     def _generate(self, db: ConditionalDatabase, extent, closed: tuple[int, ...], anchor: int):
         st = self.stats
@@ -295,10 +272,8 @@ class _Runner:
             return 0
         buckets = occurrence_deliver(child_db)
         if self.node_inspector is not None:
-            self.node_inspector(
-                self._original(closed),
-                {self._original_id(a): buckets.weight(a) for a in child_db.suffix_attrs},
-            )
+            weight_of = self.ctx.weight_of
+            self.node_inspector(closed, {a: weight_of(rows) for a, rows in buckets.items()})
         if self.rules is not None:
             self.rules.push_frame()
         for a in reversed(child_db.suffix_attrs):
@@ -308,7 +283,7 @@ class _Runner:
                     self._assert_skip_sound(closed, a)
                 continue
             violator = yield from self._generate(
-                child_db, buckets.rows(a), _insert(closed, a), a
+                child_db, buckets[a], _insert(closed, a), a
             )
             if violator and self.rules is not None:
                 self.rules.record_failure(a, violator)
@@ -316,25 +291,13 @@ class _Runner:
             self.rules.pop_frame()
         return 0
 
-    def _emit(self, closed: tuple[int, ...], weight: int, extent: int):
-        """A Concept in original attribute ids, with the row ids of ``extent`` when asked."""
-        from .derive import Concept
-
+    def _emit(self, closed: tuple[int, ...], weight: int, extent: int) -> Concept:
+        """A Concept with the row ids of ``extent`` when asked."""
         extent_ids = tuple(set_bits(extent)) if self.with_extents else None
-        return Concept(self._original(closed), weight, extent_ids)
-
-    def _original(self, ids: Iterable[int]) -> tuple[int, ...]:
-        if self.remap is None:
-            return tuple(ids)
-        return self.remap.to_original(ids)
-
-    def _original_id(self, a: int) -> int:
-        return a if self.remap is None else self.remap.original_of(a)
+        return Concept(closed, weight, extent_ids)
 
     def _assert_skip_sound(self, closed: tuple[int, ...], attr: int) -> None:
-        from .derive import closure as derive_closure
-
-        result = derive_closure(self.ctx, closed + (attr,))
+        result = closure(self.ctx, closed + (attr,))
         in_closed = set(closed)
         if not any(a < attr and a not in in_closed for a in result):
             raise PruningSoundnessError(
@@ -360,7 +323,6 @@ def lcm2_enumerate(
     *,
     pruning: bool = True,
     stats: EnumerationStats | None = None,
-    remap: AttributeRemap | None = None,
     with_extents: bool = False,
     check_pruning: bool = False,
     node_inspector: Callable | None = None,
@@ -368,17 +330,16 @@ def lcm2_enumerate(
     """Enumerate frequent closed attribute sets of a preprocessed context.
 
     Yields one Concept per closed set with weighted support >= min_support,
-    intents translated through ``remap`` when given.  ``check_pruning``
+    in the context's own attribute and row ids.  ``check_pruning``
     recomputes the closure for every rule-store skip and raises if the skip
     was unsound (slow; verification only).  ``node_inspector`` is called per
-    inner node with the intent (original ids) and the delivered bucket weights.
+    inner node with the intent and the delivered bucket weights.
     """
     runner = _Runner(
         ctx,
         min_support,
         pruning=pruning,
         stats=stats if stats is not None else EnumerationStats(),
-        remap=remap,
         with_extents=with_extents,
         check_pruning=check_pruning,
         node_inspector=node_inspector,

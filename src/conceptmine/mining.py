@@ -1,11 +1,13 @@
 """End-to-end mining pipeline: preprocess, run an engine, restore original ids.
 
-Preprocessing drops originally-empty rows and empty/infrequent attributes.
-Both removals can only affect the two boundary concepts - the empty intent
-(whose support must count the dropped empty rows) and, at min_support 0, the
-full intent (which must span every original attribute) - so the pipeline
-patches exactly those two after the engine run.  Everything in between maps
-1:1 through the attribute remap and object merge.
+Every engine works in the preprocessed context's ids; the pipeline maps
+intents and extents back to the caller's ids in one place.  Preprocessing
+drops originally-empty rows and empty/infrequent attributes.  Both removals
+can only affect the two boundary concepts - the empty intent (whose support
+must count the dropped empty rows) and, at min_support 0, the full intent
+(which must span every original attribute) - so the pipeline patches exactly
+those two after the engine run.  Everything in between maps 1:1 through the
+attribute remap and object merge.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
-from .cbo import EnumerationStats, cbo_enumerate
+from .cbo import cbo_enumerate
 from .context import AttributeRemap, FormalContext, ObjectMerge, compose_remaps, preprocess
-from .derive import Concept, enumerate_naive
+from .derive import Concept, EnumerationStats, enumerate_naive
 from .fptree import DEFAULT_DENSE_WIDTH, lcm3_enumerate
 from .lcm import lcm2_enumerate
 
@@ -31,7 +33,6 @@ def mine_concepts(
     dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
     naive_cap: int = 24,
     sort_attributes: bool = True,
-    sort_objects: bool = False,
     merge_rows: bool = True,
     with_extents: bool = False,
     base_remap: AttributeRemap | None = None,
@@ -44,6 +45,9 @@ def mine_concepts(
     Returns concepts with intents in the caller's original attribute ids
     (through ``base_remap`` when the context itself was densified at parse
     time) and extents, when requested, as original object indices.
+    ``node_inspector`` (``lcm2``/``lcm3`` only) is called per inner node with
+    the intent and a dict of the delivered bucket weights by attribute, all in
+    original ids.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -52,53 +56,40 @@ def mine_concepts(
     stats = stats if stats is not None else EnumerationStats()
 
     pre, remap, merge = preprocess(
-        ctx,
-        min_support,
-        sort_attributes=sort_attributes,
-        sort_objects=sort_objects,
-        merge_rows=merge_rows,
+        ctx, min_support, sort_attributes=sort_attributes, merge_rows=merge_rows
     )
     full_remap = compose_remaps(base_remap, remap) if base_remap is not None else remap
     total_weight = ctx.total_weight
     dropped_weight = total_weight - pre.total_weight
 
+    inspector = None
+    if node_inspector is not None:
+
+        def inspector(intent: tuple[int, ...], buckets: dict[int, int]) -> None:
+            node_inspector(
+                full_remap.to_original(intent),
+                {full_remap.original_of(a): w for a, w in buckets.items()},
+            )
+
     if algorithm == "naive":
         raw = enumerate_naive(
             pre, min_support, max_attributes=naive_cap, with_extents=with_extents, stats=stats
         )
-        concepts = [_translate(c, full_remap, merge, with_extents) for c in raw]
     elif algorithm == "cbo":
         raw = cbo_enumerate(pre, min_support, with_extents=with_extents, stats=stats)
-        concepts = [_translate(c, full_remap, merge, with_extents) for c in raw]
-    elif algorithm == "lcm2":
-        concepts = [
-            _map_extent(c, merge, with_extents)
-            for c in lcm2_enumerate(
-                pre,
-                min_support,
-                pruning=pruning,
-                stats=stats,
-                remap=full_remap,
-                with_extents=with_extents,
-                check_pruning=check_pruning,
-                node_inspector=node_inspector,
-            )
-        ]
     else:
-        concepts = [
-            _map_extent(c, merge, with_extents)
-            for c in lcm3_enumerate(
-                pre,
-                min_support,
-                dense_width,
-                pruning=pruning,
-                stats=stats,
-                remap=full_remap,
-                with_extents=with_extents,
-                check_pruning=check_pruning,
-                node_inspector=node_inspector,
-            )
-        ]
+        options = dict(
+            pruning=pruning,
+            stats=stats,
+            with_extents=with_extents,
+            check_pruning=check_pruning,
+            node_inspector=inspector,
+        )
+        if algorithm == "lcm2":
+            raw = lcm2_enumerate(pre, min_support, **options)
+        else:
+            raw = lcm3_enumerate(pre, min_support, dense_width, **options)
+    concepts = [_translate(c, full_remap, merge) for c in raw]
 
     if dropped_weight > 0 and total_weight >= min_support:
         # Empty rows were dropped, so the empty intent's support lost their
@@ -125,17 +116,9 @@ def mine_concepts(
     return concepts
 
 
-def _translate(
-    c: Concept, remap: AttributeRemap, merge: ObjectMerge, with_extents: bool
-) -> Concept:
-    extent = merge.to_original(c.extent) if with_extents and c.extent is not None else None
+def _translate(c: Concept, remap: AttributeRemap, merge: ObjectMerge) -> Concept:
+    extent = merge.to_original(c.extent) if c.extent is not None else None
     return Concept(remap.to_original(c.intent), c.support, extent)
-
-
-def _map_extent(c: Concept, merge: ObjectMerge, with_extents: bool) -> Concept:
-    if not with_extents or c.extent is None:
-        return c
-    return Concept(c.intent, c.support, merge.to_original(c.extent))
 
 
 def concept_digest(concepts: Iterable[Concept]) -> str:

@@ -16,6 +16,17 @@ K1_CONCEPTS = {
     ((1, 2, 3, 4), 0),
 }
 
+# K1_CONCEPTS in the working ids of ``preprocess(K1, 0)``, which renumbers the
+# attributes 3, 1, 2, 4 (descending cardinality) as 1, 2, 3, 4.
+K1_WORKING_CONCEPTS = {
+    ((1,), 4),
+    ((1, 2), 2),
+    ((1, 3), 2),
+    ((1, 4), 1),
+    ((1, 2, 3), 1),
+    ((1, 2, 3, 4), 0),
+}
+
 
 @pytest.fixture
 def k1():

@@ -1,25 +1,6 @@
-from conceptmine import EnumerationStats, canonicity_test, cbo_enumerate, enumerate_naive
+from conceptmine import EnumerationStats, cbo_enumerate, enumerate_naive
 
 from conftest import K1_CONCEPTS, concept_set, random_context
-
-
-def test_canonicity_failure_with_violator():
-    # Adding 4 to the empty set pulls 1 into the closure: not canonical.
-    out = canonicity_test((), (1, 4), 4)
-    assert not out.passed
-    assert out.violator == 1
-
-
-def test_canonicity_failure_smallest_violator():
-    out = canonicity_test((1, 3), (1, 2, 3, 4), 4)
-    assert not out.passed
-    assert out.violator == 2
-
-
-def test_canonicity_pass():
-    out = canonicity_test((3,), (3, 4), 4)
-    assert out.passed
-    assert out.violator is None
 
 
 def test_cbo_matches_oracle_on_k1(k1):

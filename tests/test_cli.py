@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from conceptmine.cli import bench, generate_context, main
 from conftest import concept_set
 
 K1_TEXT = "1 2 3\n1 3\n2 3\n3 4\n"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -342,3 +347,33 @@ def test_attribute_relabeling_invariance(tmp_path, capsys):
         intent = " ".join(map(str, sorted(relabel[a] for a in c.intent)))
         expected.add((intent + f" ({c.support})").strip())
     assert set(got) == expected
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is needed only to generate contexts; mining must not pay its import.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, conceptmine.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT).returncode == 0
+
+
+@pytest.mark.parametrize("algorithm", ["lcm2", "lcm3"])
+def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
+    # perfbench/tracer.py rebinds module-level functions; a refactor that calls
+    # them by another route would leave the traced layers empty.
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    spans = tmp_path / "spans.json"
+    args = ["mine", str(data), "--algorithm", algorithm]
+    layers = {"mining.engine", "lcm.frequencies", "lcm.cond_db", "lcm.deliver"}
+    if algorithm == "lcm3":
+        args += ["--dense-width", "2"]
+        layers.add("fptree.cond_tree")
+    done = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", str(spans), *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    names = {span[0] for span in json.loads(spans.read_text())}
+    assert layers <= names, layers - names

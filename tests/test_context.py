@@ -156,7 +156,7 @@ def test_parse_fimi_duplicate_heavy_matches_line_by_line_reference(seed):
         ("cbo", {}),
         ("lcm2", {}),
         ("lcm2", {"pruning": False, "merge_rows": False}),
-        ("lcm3", {"dense_width": 0, "sort_objects": True}),
+        ("lcm3", {"dense_width": 0}),
         ("lcm3", {}),
     ]
     for s in (0, 1, 40):
@@ -262,13 +262,14 @@ def test_preprocess_orders_rows_by_descending_weight():
 
 
 def test_preprocess_object_sort():
+    # Rows of equal weight keep their input order.
     ctx = FormalContext([[1], [1, 2], [1, 2, 3]])
-    pre, _, merge = preprocess(ctx, 0, sort_objects=True, sort_attributes=False)
-    assert [len(r) for r in pre.rows] == [3, 2, 1]
-    assert merge.groups == ((2,), (1,), (0,))
+    pre, _, merge = preprocess(ctx, 0, sort_attributes=False)
+    assert [len(r) for r in pre.rows] == [1, 2, 3]
+    assert merge.groups == ((0,), (1,), (2,))
 
 
-def _reference_preprocess(ctx, min_support, sort_attributes, sort_objects, merge_rows):
+def _reference_preprocess(ctx, min_support, sort_attributes, merge_rows):
     """Rows, weights and groups of ``preprocess``, mapping and merging object by object."""
     threshold = max(1, min_support)
     retained = [a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= threshold]
@@ -280,8 +281,6 @@ def _reference_preprocess(ctx, min_support, sort_attributes, sort_objects, merge
         for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights))
         if row
     ]
-    if sort_objects:
-        kept.sort(key=lambda item: (-len(item[1]), item[0]))
     merged: dict = {}
     for x, mapped, w in kept:
         key = tuple(mapped) if merge_rows else x
@@ -302,19 +301,14 @@ def test_preprocess_matches_object_by_object_reference():
             ctx, _ = parse_fimi("".join(" ".join(map(str, row)) + "\n" for row in rows))
         for s in (0, 3, 8):
             for sort_attributes in (True, False):
-                for sort_objects in (True, False):
-                    for merge_rows in (True, False):
-                        options = (sort_attributes, sort_objects, merge_rows)
-                        pre, _, merge = preprocess(
-                            ctx,
-                            s,
-                            sort_attributes=sort_attributes,
-                            sort_objects=sort_objects,
-                            merge_rows=merge_rows,
-                        )
-                        want = _reference_preprocess(ctx, s, *options)
-                        assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s, options)
-                        pre.validate()
+                for merge_rows in (True, False):
+                    options = (sort_attributes, merge_rows)
+                    pre, _, merge = preprocess(
+                        ctx, s, sort_attributes=sort_attributes, merge_rows=merge_rows
+                    )
+                    want = _reference_preprocess(ctx, s, *options)
+                    assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s, options)
+                    pre.validate()
 
 
 def test_context_from_generator_of_fresh_lists():

@@ -19,7 +19,7 @@ from conceptmine import (
 )
 from conceptmine.cli import generate_context
 
-from conftest import K1_CONCEPTS, concept_set, random_context
+from conftest import K1_WORKING_CONCEPTS, concept_set, random_context
 
 # K1 renumbered by descending cardinality (attribute 1 = most frequent).
 K1_DENSE = [[1, 2, 3], [1, 2], [1, 3], [1, 4]]
@@ -148,17 +148,17 @@ def test_conditional_chain_equals_restricted_build():
 
 
 def test_lcm3_matches_oracle_on_k1(k1):
-    pre, remap, _ = preprocess(k1, 0)
-    assert concept_set(lcm3_enumerate(pre, 0, None, remap=remap)) == K1_CONCEPTS
+    pre, _, _ = preprocess(k1, 0)
+    assert concept_set(lcm3_enumerate(pre, 0, None)) == K1_WORKING_CONCEPTS
 
 
 def test_lcm3_dense_width_zero_degenerates_to_lcm2(k1):
     for i in range(15):
         ctx = random_context(i)
-        pre, remap, _ = preprocess(ctx, 1)
+        pre, _, _ = preprocess(ctx, 1)
         s2, s3 = EnumerationStats(), EnumerationStats()
-        two = list(lcm2_enumerate(pre, 1, remap=remap, stats=s2))
-        three = list(lcm3_enumerate(pre, 1, 0, remap=remap, stats=s3))
+        two = list(lcm2_enumerate(pre, 1, stats=s2))
+        three = list(lcm3_enumerate(pre, 1, 0, stats=s3))
         assert two == three  # same traversal, same order, same concepts
         assert s2.as_dict() == s3.as_dict()
 
@@ -167,19 +167,19 @@ def test_lcm3_output_invariant_across_dense_widths():
     for i in range(25):
         ctx = random_context(i)
         for s in (0, 1, 2):
-            pre, remap, _ = preprocess(ctx, s)
-            reference = concept_set(lcm2_enumerate(pre, s, remap=remap))
+            pre, _, _ = preprocess(ctx, s)
+            reference = concept_set(lcm2_enumerate(pre, s))
             for width in (0, 2, 4, None):
-                got = concept_set(lcm3_enumerate(pre, s, width, remap=remap))
+                got = concept_set(lcm3_enumerate(pre, s, width))
                 assert got == reference, (i, s, width)
 
 
 def test_lcm3_stats_identity():
     for i in range(15):
         ctx = random_context(i)
-        pre, remap, _ = preprocess(ctx, 1)
+        pre, _, _ = preprocess(ctx, 1)
         stats = EnumerationStats()
-        concepts = list(lcm3_enumerate(pre, 1, 4, remap=remap, stats=stats))
+        concepts = list(lcm3_enumerate(pre, 1, 4, stats=stats))
         assert stats.concepts_emitted == len(concepts)
         assert stats.recursive_calls == stats.concepts_emitted + stats.canonicity_failures
 
@@ -194,8 +194,8 @@ def test_lcm3_rejects_oversized_dense_width(k1):
 def test_lcm3_accepts_inf_dense_width(k1):
     import math
 
-    pre, remap, _ = preprocess(k1, 0)
-    assert concept_set(lcm3_enumerate(pre, 0, math.inf, remap=remap)) == K1_CONCEPTS
+    pre, _, _ = preprocess(k1, 0)
+    assert concept_set(lcm3_enumerate(pre, 0, math.inf)) == K1_WORKING_CONCEPTS
 
 
 def test_lcm3_extents_match_oracle():

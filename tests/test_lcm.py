@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conceptmine import (
@@ -10,13 +12,15 @@ from conceptmine import (
     enumerate_naive,
     frequencies,
     lcm2_enumerate,
+    mine_concepts,
     occurrence_deliver,
+    parse_fimi,
     preprocess,
     root_database,
 )
 from conceptmine.bits import RowSet, set_bits
 
-from conftest import K1_CONCEPTS, concept_set, random_context
+from conftest import K1_WORKING_CONCEPTS, concept_set, random_context
 
 
 def k1_root_db():
@@ -32,28 +36,30 @@ def test_occurrence_deliver_k1_root():
     root = k1_root_db()
     db = create_conditional_db(root, root.extent, 0)
     buckets = occurrence_deliver(db, [1, 2, 4])
-    assert members(buckets.rows(1)) == [0, 1] and buckets.weight(1) == 2
-    assert members(buckets.rows(2)) == [0, 2] and buckets.weight(2) == 2
-    assert members(buckets.rows(4)) == [3] and buckets.weight(4) == 1
-    assert len(buckets.rows(4)) == 1  # a bucket's len() is its row count
+    weight_of = db.ctx.weight_of
+    assert members(buckets[1]) == [0, 1] and weight_of(buckets[1]) == 2
+    assert members(buckets[2]) == [0, 2] and weight_of(buckets[2]) == 2
+    assert members(buckets[4]) == [3] and weight_of(buckets[4]) == 1
+    assert len(buckets[4]) == 1  # a bucket's len() is its row count
 
 
 def test_occurrence_deliver_no_targets():
     buckets = occurrence_deliver(k1_root_db(), [])
-    assert buckets.attributes() == []
+    assert buckets == {}
 
 
 def test_occurrence_deliver_single_row():
     db = root_database(FormalContext([[1, 2]]))
     buckets = occurrence_deliver(db, [1, 2])
-    assert members(buckets.rows(1)) == members(buckets.rows(2)) == [0]
+    assert members(buckets[1]) == members(buckets[2]) == [0]
 
 
 def test_occurrence_deliver_weighted_rows():
     db = root_database(FormalContext([[1, 2], [1], [2]], weights=[3, 5, 6]))
     buckets = occurrence_deliver(db)
-    assert members(buckets.rows(1)) == [0, 1] and buckets.weight(1) == 8
-    assert members(buckets.rows(2)) == [0, 2] and buckets.weight(2) == 9
+    assert sorted(buckets) == [1, 2]  # every suffix attribute by default
+    assert members(buckets[1]) == [0, 1] and db.ctx.weight_of(buckets[1]) == 8
+    assert members(buckets[2]) == [0, 2] and db.ctx.weight_of(buckets[2]) == 9
 
 
 def test_frequencies_k1_root():
@@ -104,7 +110,7 @@ def test_create_conditional_db_mid_tree_node():
     # K1 at the node with intent {1,3}: extent rows 0 and 1, anchor 1.
     db = create_conditional_db(k1_root_db(), RowSet(0b11), 1)
     assert db.suffix_attrs == (2,)
-    assert members(occurrence_deliver(db).rows(2)) == [0]
+    assert members(occurrence_deliver(db)[2]) == [0]
     assert db.extent_weight == 2
 
 
@@ -158,23 +164,24 @@ def test_prune_rule_store_rejects_bad_rule():
 
 
 def test_lcm2_matches_oracle_on_k1(k1):
-    pre, remap, _ = preprocess(k1, 0)
-    assert concept_set(lcm2_enumerate(pre, 0, remap=remap)) == K1_CONCEPTS
+    pre, _, _ = preprocess(k1, 0)
+    assert concept_set(lcm2_enumerate(pre, 0)) == K1_WORKING_CONCEPTS
 
 
 def test_lcm2_min_support_2(k1):
-    pre, remap, _ = preprocess(k1, 2)
-    expected = {((3,), 4), ((1, 3), 2), ((2, 3), 2)}
-    assert concept_set(lcm2_enumerate(pre, 2, remap=remap)) == expected
+    pre, _, _ = preprocess(k1, 2)
+    # Attribute 4 is dropped; 3, 1, 2 become the working ids 1, 2, 3.
+    expected = {((1,), 4), ((1, 2), 2), ((1, 3), 2)}
+    assert concept_set(lcm2_enumerate(pre, 2)) == expected
 
 
 def test_lcm2_pruning_only_removes_calls(k1):
     for i in range(30):
         ctx = random_context(i)
-        pre, remap, _ = preprocess(ctx, 0)
+        pre, _, _ = preprocess(ctx, 0)
         on, off = EnumerationStats(), EnumerationStats()
-        with_rules = concept_set(lcm2_enumerate(pre, 0, remap=remap, pruning=True, stats=on))
-        without = concept_set(lcm2_enumerate(pre, 0, remap=remap, pruning=False, stats=off))
+        with_rules = concept_set(lcm2_enumerate(pre, 0, pruning=True, stats=on))
+        without = concept_set(lcm2_enumerate(pre, 0, pruning=False, stats=off))
         assert with_rules == without
         assert on.recursive_calls <= off.recursive_calls
 
@@ -197,9 +204,9 @@ def test_lcm2_pruning_strictly_reduces_calls():
 def test_lcm2_stats_identity():
     for i in range(20):
         ctx = random_context(i)
-        pre, remap, _ = preprocess(ctx, 1)
+        pre, _, _ = preprocess(ctx, 1)
         stats = EnumerationStats()
-        concepts = list(lcm2_enumerate(pre, 1, remap=remap, stats=stats))
+        concepts = list(lcm2_enumerate(pre, 1, stats=stats))
         assert stats.concepts_emitted == len(concepts)
         assert stats.recursive_calls == stats.concepts_emitted + stats.canonicity_failures
 
@@ -208,21 +215,45 @@ def test_lcm2_oracle_equivalence_random():
     for i in range(40):
         ctx = random_context(i)
         for s in (0, 1, 2, 3):
-            pre, remap, _ = preprocess(ctx, s)
-            got = concept_set(lcm2_enumerate(pre, s, remap=remap, check_pruning=True))
-            want = concept_set(enumerate_naive(pre, s))
-            want = {(remap.to_original(intent), supp) for intent, supp in want}
-            assert got == want, (i, s)
+            pre, _, _ = preprocess(ctx, s)
+            got = concept_set(lcm2_enumerate(pre, s, check_pruning=True))
+            assert got == concept_set(enumerate_naive(pre, s)), (i, s)
 
 
 def test_lcm2_bucket_faithfulness_via_inspector(k1):
-    pre, remap, _ = preprocess(k1, 0)
+    pre, _, _ = preprocess(k1, 0)
     seen = []
-    list(lcm2_enumerate(pre, 0, remap=remap, node_inspector=lambda b, w: seen.append((b, w))))
+    list(lcm2_enumerate(pre, 0, node_inspector=lambda b, w: seen.append((b, w))))
     assert seen
     for intent, weights_by_attr in seen:
         for attr, weight in weights_by_attr.items():
-            assert weight == down(k1, intent + (attr,)).weighted_size
+            assert weight == down(pre, intent + (attr,)).weighted_size
+
+
+def test_mine_concepts_inspector_sees_original_ids():
+    # Sparse original ids: parse_fimi renumbers them 1..5, preprocess again.
+    originals = (3, 5, 8, 11, 17)
+    rng = random.Random(3)
+    for trial in range(6):
+        rows = [sorted(rng.sample(originals, rng.randint(1, 4))) for _ in range(12)]
+        raw = FormalContext(rows)
+        ctx, remap = parse_fimi("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        for algorithm, options in (("lcm2", {}), ("lcm3", {"dense_width": 6})):
+            seen = []
+            mine_concepts(
+                ctx,
+                1,
+                algorithm=algorithm,
+                base_remap=remap,
+                node_inspector=lambda intent, buckets: seen.append((intent, buckets)),
+                **options,
+            )
+            assert seen, (trial, algorithm)
+            for intent, buckets in seen:
+                assert set(intent) <= set(originals), (trial, algorithm, intent)
+                assert set(buckets) <= set(originals), (trial, algorithm, buckets)
+                for attr, weight in buckets.items():
+                    assert weight == down(raw, intent + (attr,)).weighted_size
 
 
 def test_lcm2_interior_intersection_canonicity():
@@ -239,7 +270,7 @@ def test_lcm2_interior_intersection_canonicity():
         anchor = live[len(live) // 2]
         child = create_conditional_db(db, db.extent, anchor)
         for extent_attr in child.suffix_attrs:
-            rows = occurrence_deliver(child, [extent_attr]).rows(extent_attr)
+            rows = occurrence_deliver(child, [extent_attr])[extent_attr]
             sub_counts, sub_weight = frequencies(child, rows)
             closed = closure(pre, (extent_attr,))
             for p in child.prefix_attrs:
@@ -248,34 +279,28 @@ def test_lcm2_interior_intersection_canonicity():
 
 
 def test_lcm2_extents(k1):
-    pre, remap, merge = preprocess(k1, 0)
+    pre, _, merge = preprocess(k1, 0)
     by_intent = {}
-    for c in lcm2_enumerate(pre, 0, remap=remap, with_extents=True):
+    for c in lcm2_enumerate(pre, 0, with_extents=True):
         by_intent[c.intent] = merge.to_original(c.extent)
-    assert by_intent[(3,)] == (0, 1, 2, 3)
-    assert by_intent[(1, 3)] == (0, 1)
+    # Working ids: 3, 1, 2, 4 become 1, 2, 3, 4.
+    assert by_intent[(1,)] == (0, 1, 2, 3)
+    assert by_intent[(1, 2)] == (0, 1)
     assert by_intent[(1, 2, 3, 4)] == ()
 
 
 def test_preprocessing_options_never_change_the_concept_set():
     import itertools
 
-    from conceptmine import mine_concepts
-
     for i in (0, 5, 9, 14):
         ctx = random_context(i)
         oracle = concept_set(enumerate_naive(ctx, 1))
-        for sort_attrs, sort_objs, merge in itertools.product((True, False), repeat=3):
+        for sort_attrs, merge in itertools.product((True, False), repeat=2):
             for algorithm in ("cbo", "lcm2", "lcm3"):
                 got = concept_set(
                     mine_concepts(
-                        ctx,
-                        1,
-                        algorithm=algorithm,
-                        sort_attributes=sort_attrs,
-                        sort_objects=sort_objs,
-                        merge_rows=merge,
+                        ctx, 1, algorithm=algorithm, sort_attributes=sort_attrs, merge_rows=merge
                     )
                 )
-                assert got == oracle, (i, sort_attrs, sort_objs, merge, algorithm)
+                assert got == oracle, (i, sort_attrs, merge, algorithm)
 
