@@ -8,10 +8,8 @@ Exit codes: 0 success, 1 I/O error, 2 parse error, 3 invalid arguments,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -144,10 +142,23 @@ def _resolve_dense_width(text: str | None):
 
 
 def _read_input(path: str) -> str:
+    """The input's text, decoded as UTF-8 without newline translation (the parsers end lines).
+
+    An undecodable byte is a :class:`ParseError` on the line that holds it.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path, newline="") as f:  # no newline translation: the parsers end lines
-        return f.read()
+        if not hasattr(sys.stdin, "buffer"):  # a text stream put in its place is decoded already
+            return sys.stdin.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = data[exc.start]
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{byte:02x} is not valid UTF-8", line) from None
 
 
 def _load_context(path: str, fmt: str):
@@ -158,7 +169,10 @@ def _load_context(path: str, fmt: str):
 def _format_concept(c, with_extents: bool) -> str:
     line = " ".join([*map(str, c.intent), f"({c.support})"])
     if with_extents:
-        line = (line + " / " + " ".join(map(str, c.extent))).rstrip()
+        # The tuple's repr converts ids to digits in C and frees each digit
+        # string at once; a join would hold all of them (60,000 for a root).
+        ids = repr(tuple(c.extent))[1:-1].replace(",", "")
+        line = (line + " / " + ids).rstrip()
     return line
 
 
@@ -186,12 +200,14 @@ def _cmd_mine(args) -> int:
     wall_ms = (time.perf_counter() - started) * 1000.0
     if args.sorted:
         concepts.sort(key=lambda c: c.intent)
-    lines = [_format_concept(c, args.with_extents) for c in concepts]
-    payload = "".join(line + "\n" for line in lines)
+    # One line at a time, so that no copy of the whole output is ever held.
+    # The file is opened only now, so a failed run leaves none behind.
+    lines = (_format_concept(c, args.with_extents) + "\n" for c in concepts)
     if args.output:
-        Path(args.output).write_text(payload)
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(lines)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(lines)
     if args.stats:
         record = stats.as_dict()
         record["wall_ms"] = wall_ms
@@ -226,6 +242,8 @@ def bench(
     Raises DigestMismatchError when two engines disagree on the concept-set
     digest: a correctness regression outranks any timing number.
     """
+    import statistics  # here, not at module level, so that mining never loads it
+
     if miner is None:
         miner = mine_concepts
     rows = []
@@ -284,6 +302,8 @@ def _cmd_bench(args) -> int:
     except DigestMismatchError as exc:
         print(f"conceptmine: {exc}", file=sys.stderr)
         return EXIT_DIGEST
+    import csv  # here, not at module level, so that mining never loads it
+
     fields = [
         "algorithm",
         "wall_ms_median",

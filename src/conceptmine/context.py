@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 from .bits import mask_of
@@ -207,10 +208,8 @@ class ObjectMerge:
     groups: tuple[tuple[int, ...], ...]
 
     def to_original(self, row_indices: Iterable[int]) -> tuple[int, ...]:
-        out: list[int] = []
-        for r in row_indices:
-            out.extend(self.groups[r])
-        return tuple(sorted(out))
+        # Each group is ascending, so timsort merges them as runs.
+        return tuple(sorted(chain.from_iterable(map(self.groups.__getitem__, row_indices))))
 
 
 def _lines(text: str) -> list[str]:

@@ -12,7 +12,6 @@ attribute remap and object merge.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable
 
 from .cbo import cbo_enumerate
@@ -123,6 +122,8 @@ def _translate(c: Concept, remap: AttributeRemap, merge: ObjectMerge) -> Concept
 
 def concept_digest(concepts: Iterable[Concept]) -> str:
     """Order-independent hash of a concept set (intents plus supports)."""
+    import hashlib  # here, not at module level: it loads OpenSSL, which mining never needs
+
     lines = sorted(f"{' '.join(map(str, c.intent))}:{c.support}" for c in concepts)
     digest = hashlib.sha256()
     for line in lines:

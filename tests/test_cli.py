@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,28 @@ def test_mine_file_lines_end_only_at_newline(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["1 2 (2)"]
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "fmt, text, line",
+    [
+        pytest.param("fimi", b"1 2\n1 \xff\n", 2, id="fimi"),
+        pytest.param("cxt", b"B\n\n2\n1\n\no1\no\xff2\na\nX\n.\n", 7, id="cxt"),
+    ],
+)
+@pytest.mark.parametrize("command", ["mine", "bench"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch, command, fmt, text, line, source):
+    if source == "file":
+        path = tmp_path / "bad.dat"
+        path.write_bytes(text)
+        target = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+        target = "-"
+    assert run_cli([command, target, "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err == f"conceptmine: parse error: line {line}: byte 0xff is not valid UTF-8\n"
+
+
 @pytest.mark.parametrize("token", ["1_0", "+3", "-4"])
 def test_mine_bad_item_id_exits_2(tmp_path, capsys, token):
     data = tmp_path / "bad.dat"
@@ -103,6 +127,16 @@ def test_mine_naive_capacity_exits_4(tmp_path):
     data = tmp_path / "wide.dat"
     data.write_text(" ".join(str(a) for a in range(1, 26)) + "\n")
     assert run_cli(["mine", str(data), "--algorithm", "naive", "--min-support", "1"]) == 4
+
+
+def test_failed_mine_leaves_no_output_file(tmp_path):
+    data = tmp_path / "wide.dat"
+    data.write_text(" ".join(str(a) for a in range(1, 26)) + "\nfoo\n")
+    target = tmp_path / "out.txt"
+    assert run_cli(["mine", str(data), "-o", str(target)]) == 2
+    data.write_text(" ".join(str(a) for a in range(1, 26)) + "\n")
+    assert run_cli(["mine", str(data), "--algorithm", "naive", "-o", str(target)]) == 4
+    assert not target.exists()
 
 
 def test_mine_dense_width_capacity_exits_4(tmp_path):
@@ -252,6 +286,9 @@ def test_format_concept_lines():
     assert _format_concept(Concept((), 4, ()), True) == "(4) /"
     assert _format_concept(Concept((1, 20), 0, ()), True) == "1 20 (0) /"
     assert _format_concept(Concept((3,), 2, (0, 11)), True) == "3 (2) / 0 11"
+    for extent in ((7,), tuple(range(60_000))):  # a 1-tuple's repr ends in ",)"
+        line = _format_concept(Concept((3,), len(extent), extent), True)
+        assert line == f"3 ({len(extent)}) / " + " ".join(map(str, extent))
 
 
 def test_bench_csv(tmp_path, capsys):
@@ -354,6 +391,54 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = "import sys, conceptmine.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT).returncode == 0
+
+
+def test_importing_the_cli_leaves_bench_only_modules_unloaded():
+    # Only `bench` needs these, and hashlib loads OpenSSL. -S keeps a site
+    # .pth hook from importing any of them before conceptmine does.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, conceptmine.cli; print(sorted({'hashlib', 'statistics', 'csv'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, cwd=ROOT, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# Reports the peak RSS of the command in its arguments, from a process of its
+# own: on Linux a child's peak RSS includes that of the process that started
+# it, and the test process is larger than `mine`.
+PEAK_RSS_KB = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+if status:
+    sys.exit(f"wait status {status}")
+print(usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or sys.platform != "linux", reason="peak RSS in KB from os.wait4"
+)
+def test_mine_memory_does_not_follow_the_output(tmp_path):
+    # Duplicate-heavy rows: few concepts, but extents of up to 40,000 ids.
+    rng = random.Random(7)
+    distinct = [sorted(rng.sample(range(1, 41), rng.randint(3, 6))) for _ in range(60)]
+    data = tmp_path / "sessions.dat"
+    data.write_text("".join(" ".join(map(str, rng.choice(distinct))) + "\n" for _ in range(40_000)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "out.txt"
+    peak_kb = []
+    for flags in ([], ["--with-extents"]):
+        args = ["mine", str(data), "--min-support", "1", *flags, "-o", str(out)]
+        argv = [sys.executable, "-c", PEAK_RSS_KB, sys.executable, "-m", "conceptmine", *args]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        peak_kb.append(int(done.stdout))
+    output_bytes = out.stat().st_size
+    assert output_bytes > 1_000_000
+    assert (peak_kb[1] - peak_kb[0]) * 1024 < 2 * output_bytes, (peak_kb, output_bytes)
 
 
 @pytest.mark.parametrize("algorithm", ["lcm2", "lcm3"])
