@@ -29,7 +29,6 @@ from .fptree import (
     build_complete_fptree,
     conditional_fptree,
     intent_of_list,
-    lcm3_enumerate,
 )
 from .lcm import (
     ConditionalDatabase,
@@ -37,6 +36,7 @@ from .lcm import (
     create_conditional_db,
     frequencies,
     lcm2_enumerate,
+    lcm3_enumerate,
     occurrence_deliver,
     root_database,
 )

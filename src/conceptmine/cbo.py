@@ -3,7 +3,8 @@
 Each closed set is generated from exactly one parent: after adding attribute i
 and closing, the result is kept only when no attribute below i sneaked into
 the closure.  Children are explored in ascending attribute order, which gives
-reproducible traces; the order does not affect the emitted set.
+reproducible traces; the order does not affect the emitted set.  Each node is
+a frame on the explicit stack of :func:`conceptmine.derive.depth_first`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterator
 
 from .bits import ids_of
 from .context import FormalContext
-from .derive import Concept, EnumerationStats
+from .derive import Concept, EnumerationStats, depth_first
 
 
 def cbo_enumerate(
@@ -55,6 +56,6 @@ def cbo_enumerate(
                     child_weight += weights[x]
             if child_weight < min_support:
                 continue
-            yield from generate(child, child_weight, D | (1 << (i - 1)), i)
+            yield generate(child, child_weight, D | (1 << (i - 1)), i)
 
-    yield from generate(list(range(ctx.num_objects)), ctx.total_weight, 0, 0)
+    yield from depth_first(generate(list(range(ctx.num_objects)), ctx.total_weight, 0, 0))

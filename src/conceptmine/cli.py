@@ -1,8 +1,8 @@
 """Command line front end: mine closed itemsets, generate test data, benchmark engines.
 
 Exit codes: 0 success, 1 I/O error, 2 parse error, 3 invalid arguments,
-4 capacity exceeded (including inputs too deep for the recursion limit),
-5 benchmark digest mismatch.
+4 capacity exceeded, 5 benchmark digest mismatch, 141 (128 + SIGPIPE) the
+reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .context import FormalContext, parse_cxt, parse_fimi
@@ -26,10 +28,32 @@ EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_CAPACITY = 4
 EXIT_DIGEST = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what the shell reports for ``cat`` in the same pipe
 
 
 class _UsageError(Exception):
     pass
+
+
+class _ReaderGone(Exception):
+    """The reader of standard output closed the pipe (``... | head``)."""
+
+
+@contextmanager
+def _stdout():
+    """Standard output for one command's writes; a closed pipe raises :class:`_ReaderGone`.
+
+    Standard output is then pointed at the null device, so that the flush
+    at interpreter exit has nowhere to fail and prints nothing.
+    """
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _ReaderGone from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,7 +231,8 @@ def _cmd_mine(args) -> int:
         with open(args.output, "w", encoding="utf-8") as out:
             out.writelines(lines)
     else:
-        sys.stdout.writelines(lines)
+        with _stdout() as out:
+            out.writelines(lines)
     if args.stats:
         record = stats.as_dict()
         record["wall_ms"] = wall_ms
@@ -223,7 +248,8 @@ def _cmd_gen(args) -> int:
     if args.output:
         Path(args.output).write_text(payload)
     else:
-        sys.stdout.write(payload)
+        with _stdout() as out:
+            out.write(payload)
     return EXIT_OK
 
 
@@ -234,8 +260,6 @@ def bench(
     min_support: int,
     repeats: int = 3,
     dense_width=DEFAULT_DENSE_WIDTH,
-    *,
-    miner=None,
 ) -> list[dict]:
     """Run every engine ``repeats`` times; report medians and verify identical outputs.
 
@@ -244,8 +268,6 @@ def bench(
     """
     import statistics  # here, not at module level, so that mining never loads it
 
-    if miner is None:
-        miner = mine_concepts
     rows = []
     digests = {}
     for algorithm in algorithms:
@@ -255,7 +277,7 @@ def bench(
         for _ in range(max(1, repeats)):
             stats = EnumerationStats()
             started = time.perf_counter()
-            concepts = miner(
+            concepts = mine_concepts(
                 ctx,
                 min_support,
                 algorithm=algorithm,
@@ -315,9 +337,10 @@ def _cmd_bench(args) -> int:
         "pruning_rule_hits",
         "conditional_dbs_built",
     ]
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
+    with _stdout() as out:
+        writer = csv.DictWriter(out, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -339,9 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, ConfigurationError) as exc:
         print(f"conceptmine: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except RecursionError:
-        print("conceptmine: input too deep for the recursion limit", file=sys.stderr)
-        return EXIT_CAPACITY
+    except _ReaderGone:
+        return EXIT_PIPE
     except OSError as exc:
         print(f"conceptmine: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -14,19 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .bits import mask_of
 from .errors import ParseError
-
-
-def _as_text(source: str | bytes | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 class FormalContext:
@@ -238,16 +229,17 @@ def _item_id(token: str) -> int:
     raise ParseError(f"expected an integer item id, got {token!r}")
 
 
-def parse_fimi(source: str | bytes | IO) -> tuple[FormalContext, AttributeRemap]:
+def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
     """Parse a FIMI transaction file: one whitespace-separated id list per line.
 
     Lines end at ``\n`` (a trailing ``\r`` is dropped) and item ids are ASCII
     decimal numbers.  Blank lines are empty rows.  Duplicate ids within a line
     are collapsed.  Observed ids are renumbered densely (ascending) to 1..k;
     the remap records the original ids.  Each distinct line is parsed, and
-    each distinct id set renumbered, once; equal rows share one list.
+    each distinct id set renumbered, once; equal rows share one list.  The
+    source is decoded text; the command line decodes its input as UTF-8.
     """
-    lines = _lines(_as_text(source))
+    lines = _lines(source)
     parsed: dict[str, tuple[int, ...]] = {}  # line text -> ascending distinct ids
     for line in dict.fromkeys(lines):  # distinct lines in order of first occurrence
         try:
@@ -262,14 +254,15 @@ def parse_fimi(source: str | bytes | IO) -> tuple[FormalContext, AttributeRemap]
     return ctx, AttributeRemap(tuple(ordered), old_to_new)
 
 
-def parse_cxt(source: str | bytes | IO) -> tuple[FormalContext, AttributeRemap]:
+def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     """Parse a Burmeister .cxt file.
 
     Layout: "B" header, an optional name line, object count, attribute count,
     a blank line, object names, attribute names, then one '.'/'X' line per
-    object.  Names are kept on the returned context.
+    object.  Names are kept on the returned context.  The source is decoded
+    text, as for :func:`parse_fimi`.
     """
-    lines = _lines(_as_text(source))
+    lines = _lines(source)
     pos = 0
 
     def take(what: str) -> str:

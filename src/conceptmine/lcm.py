@@ -1,6 +1,6 @@
-"""The LCM2 engine: occurrence deliver, conditional databases, and rule pruning.
+"""The LCM engines: occurrence deliver, conditional databases, rule pruning, FP-trees.
 
-The recursion follows the same canonical generation tree as Close-by-One, but
+LCM2 follows the same canonical generation tree as Close-by-One, but
 closures and canonicity are decided from attribute frequencies: within the
 current extent, an attribute belongs to the closure exactly when its weighted
 frequency equals the extent weight.  The databases are vertical: an extent is
@@ -11,26 +11,50 @@ database is its extent plus the live attributes - constant, empty and
 infrequent ones dropped - split at the anchor into suffix candidates and the
 prefix attributes that later canonicity checks need.  Occurrence deliver
 fills every child extent (bucket) with one AND per suffix attribute.  The
-canonicity test runs first and stops at the smallest violator, as in
-In-Close.  Children are expanded right to left, largest attribute first.
+canonicity test stops at the smallest violator, as in In-Close.  Children
+are expanded right to left, largest attribute first.
 
 Pruning reuses failed canonicity tests: when descending into attribute i
 forced some earlier attribute j into the closure, the rule "i adds j" skips
 the closure for i again anywhere below the current node until j itself is
 descended into or the node is left.
+
+LCM3 runs the same traversal until a node's live attribute universe fits
+within ``dense_width``, then mines the whole subtree on complete FP-trees
+(:mod:`conceptmine.fptree`): the tree is built from the rows of the node's
+extent bitset, each row's mask cut to the live attributes; lists act as the
+delivered buckets, conditional trees replace conditional databases, and
+canonicity is read off the inner intersections.  Inside such a subtree the
+generation order is mirrored - children add attributes in descending id
+order, because a conditional tree only spans attributes more frequent than
+its key - and the subtree still owns exactly the closed sets whose closure
+adds no attribute below the engagement anchor.  Each node's extent bitset is
+carried down.  Before a conditional tree is built, the candidate attributes
+(below the key and outside the closure) are counted on the columns within
+the child extent and the paths are projected onto the frequent ones, as LCM
+ver. 3 builds conditional databases from frequent items only; the inner
+bit-arrays keep every live attribute for the closure and canonicity
+readings.
+
+Both traversals run on the explicit stack of
+:func:`conceptmine.derive.depth_first`, one frame per node or conditional
+tree, so depth costs no Python recursion.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from .bits import RowSet, set_bits
+from . import fptree
+from .bits import RowSet, ids_of, mask_of, set_bits
 from .context import FormalContext
-from .derive import Concept, EnumerationStats, closure
-from .errors import PruningSoundnessError
+from .derive import Concept, EnumerationStats, closure, depth_first
+from .errors import ConfigurationError, PruningSoundnessError
+from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree
 
 
 @dataclass
@@ -194,39 +218,39 @@ def root_database(ctx: FormalContext) -> ConditionalDatabase:
     )
 
 
+@dataclass
 class _Runner:
-    """State for one enumeration run: options, counters, rule store."""
+    """State for one enumeration run: options, counters, rule store.
 
-    def __init__(
-        self,
-        ctx: FormalContext,
-        min_support: int,
-        *,
-        pruning: bool,
-        stats: EnumerationStats,
-        with_extents: bool,
-        check_pruning: bool,
-        node_inspector: Callable | None,
-        fp_engine=None,
-    ):
-        self.ctx = ctx
-        self.min_support = min_support
-        self.min_weight = max(1, min_support)
-        self.stats = stats
-        self.with_extents = with_extents
-        self.check_pruning = check_pruning
-        self.node_inspector = node_inspector
-        self.rules = PruneRuleStore() if pruning else None
-        self.fp_engine = fp_engine
+    A node frame runs each child's entry step - the call count, the rules
+    retired by its anchor, the canonicity test - before it yields the child's
+    frame, so that the rule store holds a failed child's rule before the next
+    sibling is tried.  ``dense_width`` 0 never engages the FP-trees (LCM2).
+    """
 
-    def run(self) -> Iterator:
+    ctx: FormalContext
+    min_support: int
+    dense_width: int | float
+    rules: PruneRuleStore | None
+    stats: EnumerationStats
+    with_extents: bool
+    check_pruning: bool
+    node_inspector: Callable | None
+
+    def __post_init__(self):
+        self.min_weight = max(1, self.min_support)
+
+    def run(self) -> Iterator[Concept]:
         st = self.stats
         ctx = self.ctx
         if ctx.total_weight < self.min_support:
             return
         db = root_database(ctx)
-        violator = yield from self._generate(db, db.extent, (), 0)
-        assert violator == 0  # the root cannot fail the canonicity test
+        # The root's entry step: it has no attribute below its anchor, so it
+        # cannot fail the canonicity test.
+        st.recursive_calls += 1
+        st.closure_computations += 1
+        yield from depth_first(self._node(db, db.extent, (), 0))
         if self.rules is not None:
             assert len(self.rules) == 0, "rule store not empty after the root call"
         if self.min_support == 0 and ctx.num_attributes > 0:
@@ -238,22 +262,9 @@ class _Runner:
                 st.concepts_emitted += 1
                 yield Concept(tuple(range(1, n + 1)), 0, () if self.with_extents else None)
 
-    def _generate(self, db: ConditionalDatabase, extent, closed: tuple[int, ...], anchor: int):
+    def _node(self, db: ConditionalDatabase, extent, closed: tuple[int, ...], anchor: int):
+        """The frame of a node that passed its canonicity test: emit it, then its children."""
         st = self.stats
-        st.recursive_calls += 1
-        st.closure_computations += 1
-        if self.rules is not None:
-            self.rules.remove_rules_by_right_side(anchor)
-        # Canonicity first, stopping at the smallest live attribute below the
-        # anchor whose column covers the extent.  Chained, not concatenated: a
-        # copy of the live attributes per call is quadratic on wide rows.
-        columns = self.ctx.columns
-        for a in chain(db.prefix_attrs, db.suffix_attrs):
-            if a >= anchor:
-                break
-            if columns[a] & extent == extent:
-                st.canonicity_failures += 1
-                return a
         counts, extent_weight = frequencies(db, extent)
         closed = _merge_into(
             closed, (a for a in db.suffix_attrs if a > anchor and counts.get(a) == extent_weight)
@@ -265,31 +276,106 @@ class _Runner:
             db, extent, anchor, self.min_weight, counted=(counts, extent_weight)
         )
         st.conditional_dbs_built += 1
+        del counts  # a frame lives as long as its subtree: keep only what the children need
         if not child_db.suffix_attrs:
-            return 0
-        if self.fp_engine is not None and self.fp_engine.accepts(child_db):
-            yield from self.fp_engine.mine(child_db, closed, self)
-            return 0
+            return
+        if len(child_db.suffix_attrs) + len(child_db.prefix_attrs) <= self.dense_width:
+            yield self._tree_root(child_db, closed)
+            return
         buckets = occurrence_deliver(child_db)
         if self.node_inspector is not None:
             weight_of = self.ctx.weight_of
             self.node_inspector(closed, {a: weight_of(rows) for a, rows in buckets.items()})
-        if self.rules is not None:
-            self.rules.push_frame()
+        columns = self.ctx.columns
+        rules = self.rules
+        if rules is not None:
+            rules.push_frame()
         for a in reversed(child_db.suffix_attrs):
-            if self.rules is not None and self.rules.should_skip(a):
+            child = buckets.pop(a)
+            if rules is not None and rules.should_skip(a):
                 st.pruning_rule_hits += 1
                 if self.check_pruning:
                     self._assert_skip_sound(closed, a)
                 continue
-            violator = yield from self._generate(
-                child_db, buckets[a], _insert(closed, a), a
+            st.recursive_calls += 1
+            st.closure_computations += 1
+            if rules is not None:
+                rules.remove_rules_by_right_side(a)
+            # Canonicity: ``b`` stops at the smallest live attribute below ``a``
+            # whose column covers the child extent, else at ``a`` itself.
+            # Chained, not concatenated: a copy per child is quadratic on wide rows.
+            for b in chain(child_db.prefix_attrs, child_db.suffix_attrs):
+                if b >= a or columns[b] & child == child:
+                    break
+            if b < a:
+                st.canonicity_failures += 1
+                if rules is not None:
+                    rules.record_failure(a, b)
+            else:
+                yield self._node(child_db, child, _merge_into(closed, (a,)), a)
+        if rules is not None:
+            rules.pop_frame()
+
+    def _tree_root(self, db: ConditionalDatabase, closed: tuple[int, ...]):
+        """The frame that mines ``db``'s subtree on a complete FP-tree of its extent."""
+        suffix_mask = mask_of(db.suffix_attrs)
+        prefix_mask = mask_of(db.prefix_attrs)
+        live_mask = suffix_mask | prefix_mask
+        width = db.suffix_attrs[-1]
+        tree = CompleteFpTree(width, path_mask=suffix_mask)
+        row_masks = self.ctx.row_masks
+        weights = self.ctx.weights
+        for x in set_bits(db.extent):
+            mask = row_masks[x]
+            if mask & suffix_mask:  # rows without live suffix attributes feed no deeper extent
+                tree._push(mask & suffix_mask, weights[x], mask & live_mask)
+        tree._extend(width)
+        return self._tree(tree, db.extent, 0, closed, suffix_mask, prefix_mask)
+
+    def _tree(
+        self,
+        tree: CompleteFpTree,
+        extent: int,
+        found: int,
+        closed: tuple[int, ...],
+        suffix_mask: int,
+        prefix_mask: int,
+    ):
+        # ``extent`` is the row bitset of the node; every list of ``tree`` is
+        # frequent within it and outside its closure ``found``.
+        st = self.stats
+        columns = self.ctx.columns
+        if self.node_inspector is not None:
+            self.node_inspector(
+                _merge_into(closed, ids_of(found & suffix_mask)),
+                {a: tree.totals[a] for a in sorted(tree.lists)},
             )
-            if violator and self.rules is not None:
-                self.rules.record_failure(a, violator)
-        if self.rules is not None:
-            self.rules.pop_frame()
-        return 0
+        for attr in sorted(tree.lists):
+            st.recursive_calls += 1
+            st.closure_computations += 1
+            inter = -1
+            for node in tree.lists[attr].values():
+                inter &= node.inner
+            # Violators: prefix attributes of the engagement database, or live
+            # attributes above this one that the closure pulled in unasked.
+            above = suffix_mask & ~((1 << attr) - 1)
+            if inter & ~found & (prefix_mask | above):
+                st.canonicity_failures += 1
+                continue
+            new_found = inter & suffix_mask
+            child = extent & columns[attr]
+            st.concepts_emitted += 1
+            yield self._emit(_merge_into(closed, ids_of(new_found)), tree.totals[attr], child)
+            # Count the candidates on the columns, so that the conditional tree
+            # is built from the frequent attributes outside the closure only.
+            candidates = ids_of(tree.path_mask & ((1 << (attr - 1)) - 1) & ~inter)
+            counts, _ = self.ctx.column_weights(child, candidates)
+            keep = mask_of(a for a, n in zip(candidates, counts) if n >= self.min_weight)
+            # Through the module: perfbench/tracer.py rebinds the name there.
+            sub = fptree.conditional_fptree(tree, attr, keep=keep)
+            st.conditional_dbs_built += 1
+            if sub.lists:
+                yield self._tree(sub, child, new_found, closed, suffix_mask, prefix_mask)
 
     def _emit(self, closed: tuple[int, ...], weight: int, extent: int) -> Concept:
         """A Concept with the row ids of ``extent`` when asked."""
@@ -313,10 +399,6 @@ def _merge_into(closed: tuple[int, ...], extra: Iterable[int]) -> tuple[int, ...
     return tuple(sorted(closed + extra))
 
 
-def _insert(closed: tuple[int, ...], a: int) -> tuple[int, ...]:
-    return tuple(sorted(closed + (a,)))
-
-
 def lcm2_enumerate(
     ctx: FormalContext,
     min_support: int = 0,
@@ -326,7 +408,7 @@ def lcm2_enumerate(
     with_extents: bool = False,
     check_pruning: bool = False,
     node_inspector: Callable | None = None,
-) -> Iterator:
+) -> Iterator[Concept]:
     """Enumerate frequent closed attribute sets of a preprocessed context.
 
     Yields one Concept per closed set with weighted support >= min_support,
@@ -335,13 +417,48 @@ def lcm2_enumerate(
     was unsound (slow; verification only).  ``node_inspector`` is called per
     inner node with the intent and the delivered bucket weights.
     """
-    runner = _Runner(
+    return lcm3_enumerate(
         ctx,
         min_support,
+        0,
         pruning=pruning,
-        stats=stats if stats is not None else EnumerationStats(),
+        stats=stats,
         with_extents=with_extents,
         check_pruning=check_pruning,
         node_inspector=node_inspector,
     )
-    yield from runner.run()
+
+
+def lcm3_enumerate(
+    ctx: FormalContext,
+    min_support: int = 0,
+    dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
+    *,
+    pruning: bool = True,
+    stats: EnumerationStats | None = None,
+    with_extents: bool = False,
+    check_pruning: bool = False,
+    node_inspector: Callable | None = None,
+) -> Iterator[Concept]:
+    """LCM with the hybrid representation: row bitsets wide, complete FP-trees narrow.
+
+    Identical concept output to :func:`lcm2_enumerate` for every
+    ``dense_width``.  ``dense_width`` 0 disables the FP-trees entirely;
+    ``None`` (or ``math.inf``) engages them at every node.
+    """
+    if dense_width is None:
+        dense_width = math.inf
+    elif not math.isinf(dense_width):
+        dense_width = int(dense_width)
+        if dense_width < 0:
+            raise ConfigurationError("dense_width must be non-negative")
+        if dense_width > MAX_DENSE_WIDTH:
+            raise ConfigurationError(
+                f"dense_width {dense_width} exceeds the bit-array capacity {MAX_DENSE_WIDTH}"
+            )
+    rules = PruneRuleStore() if pruning else None
+    stats = stats if stats is not None else EnumerationStats()
+    runner = _Runner(
+        ctx, min_support, dense_width, rules, stats, with_extents, check_pruning, node_inspector
+    )
+    return runner.run()

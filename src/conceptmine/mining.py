@@ -17,8 +17,8 @@ from typing import Iterable
 from .cbo import cbo_enumerate
 from .context import AttributeRemap, FormalContext, ObjectMerge, compose_remaps, preprocess
 from .derive import Concept, EnumerationStats, enumerate_naive
-from .fptree import DEFAULT_DENSE_WIDTH, lcm3_enumerate
-from .lcm import lcm2_enumerate
+from .fptree import DEFAULT_DENSE_WIDTH
+from .lcm import lcm2_enumerate, lcm3_enumerate
 
 ALGORITHMS = ("naive", "cbo", "lcm2", "lcm3")
 
@@ -30,7 +30,6 @@ def mine_concepts(
     algorithm: str = "lcm2",
     pruning: bool = True,
     dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
-    naive_cap: int = 24,
     sort_attributes: bool = True,
     merge_rows: bool = True,
     with_extents: bool = False,
@@ -71,9 +70,7 @@ def mine_concepts(
             )
 
     if algorithm == "naive":
-        raw = enumerate_naive(
-            pre, min_support, max_attributes=naive_cap, with_extents=with_extents, stats=stats
-        )
+        raw = enumerate_naive(pre, min_support, with_extents=with_extents, stats=stats)
     elif algorithm == "cbo":
         raw = cbo_enumerate(pre, min_support, with_extents=with_extents, stats=stats)
     else:

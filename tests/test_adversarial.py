@@ -8,8 +8,10 @@ every node thousands of live attributes.  Every engine must agree, and agree
 with the exhaustive oracle where the context has at most 24 attributes.
 """
 
+import inspect
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -60,6 +62,22 @@ def test_staircase_all_engines(n):
         return {(tuple(range(1, k + 1)), n - k + 1) for k in range(1, n + 1) if n - k + 1 >= s}
 
     assert_engines_agree(staircase(n), (0, n // 4), want)
+
+
+def test_staircase_deeper_than_the_recursion_limit_all_engines():
+    # The chain of 300 concepts is deeper than the 100 frames left to Python,
+    # so an engine that recursed per level would raise RecursionError.
+    n = 300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert_engines_agree(
+            staircase(n),
+            (0,),
+            lambda s: {(tuple(range(1, k + 1)), n - k + 1) for k in range(1, n + 1)},
+        )
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_staircase_oracle_small():

@@ -146,13 +146,31 @@ def test_mine_dense_width_capacity_exits_4(tmp_path):
     assert code == 4
 
 
-def test_mine_too_deep_exits_4(tmp_path, capsys):
-    # A 1,200-attribute staircase (row i = {1..i}) recurses past Python's limit.
+def test_mine_deep_staircase(tmp_path, capsys):
+    # A 1,200-attribute staircase (row i = {1..i}) is a chain 1,200 concepts
+    # deep, far past Python's default recursion limit of 1,000.
     data = tmp_path / "staircase.dat"
     data.write_text("".join(" ".join(map(str, range(1, i + 1))) + "\n" for i in range(1, 1201)))
-    assert run_cli(["mine", str(data), "--algorithm", "cbo", "-o", str(tmp_path / "out")]) == 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "recursion limit" in err
+    assert run_cli(["mine", str(data), "--algorithm", "lcm2", "--sorted"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [" ".join(map(str, range(1, k + 1))) + f" ({1201 - k})" for k in range(1, 1201)]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGPIPE exit status")
+def test_mine_reader_closing_the_pipe_exits_141(tmp_path):
+    # One root extent of 250,000 ids: far more output than a pipe buffers.
+    data = tmp_path / "big.dat"
+    data.write_text("1\n2\n" * 125_000)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "conceptmine", "mine", str(data), "--with-extents"]
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_mine_reads_stdin(monkeypatch, capsys):
