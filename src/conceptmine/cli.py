@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -146,7 +145,13 @@ def _resolve_support(args, total_objects: int) -> int:
         ratio = args.min_support_ratio
         if not 0.0 <= ratio <= 1.0:
             raise _UsageError(f"--min-support-ratio must lie in [0, 1], got {ratio}")
-        return math.ceil(ratio * total_objects)
+        # The ratio as written in decimal, not its binary float: 0.07 of 100
+        # objects is 7, where the float product is 7.000000000000001.  Integer
+        # arithmetic on repr's digits, because fractions would load decimal.
+        mantissa, _, exponent = repr(ratio).partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        scale = 10 ** (len(decimals) - int(exponent or 0))
+        return -(-int(whole + decimals) * total_objects // scale)
     if args.min_support is not None:
         if args.min_support < 0:
             raise _UsageError("--min-support must be non-negative")

@@ -142,60 +142,54 @@ def create_conditional_db(
     )
 
 
-class _Rule:
-    __slots__ = ("left", "right", "alive")
-
-    def __init__(self, left: int, right: int):
-        self.left = left
-        self.right = right
-        self.alive = True
-
-
 class PruneRuleStore:
-    """Stack of "i adds j" rules with per-call frames.
+    """Stack of "i adds j" rules with per-call frames; only live rules are held.
 
     Rules die in two ways: the whole frame is popped when its call returns, or
-    a rule is tombstoned early when some call descends with its right side as
-    the anchor (the right side is then inside the closed set, so the recorded
-    failure no longer applies).
+    every rule with a given right side dies when some call descends with that
+    right side as the anchor (it is then inside the closed set, so the
+    recorded failures no longer apply).  Rules are kept by right side as
+    ``(frame depth, left)`` in recording order, so the innermost frame's rules
+    are at the tail of each list; each frame lists the right sides it used.
     """
 
     def __init__(self):
-        self._rules: list[_Rule] = []
-        self._frames: list[int] = []
+        self._frames: list[list[int]] = []
         self._left_alive: dict[int, int] = {}
-        self._by_right: dict[int, list[_Rule]] = {}
+        self._by_right: dict[int, list[tuple[int, int]]] = {}
 
     def __len__(self) -> int:
-        return sum(1 for r in self._rules if r.alive)
+        return sum(self._left_alive.values())
 
     def push_frame(self) -> None:
-        self._frames.append(len(self._rules))
+        self._frames.append([])
 
     def pop_frame(self) -> None:
-        mark = self._frames.pop()
-        for rule in self._rules[mark:]:
-            if rule.alive:
-                rule.alive = False
-                self._decrement(rule.left)
-        del self._rules[mark:]
+        depth = len(self._frames)
+        by_right = self._by_right
+        for right in self._frames.pop():
+            rules = by_right.get(right)
+            while rules and rules[-1][0] == depth:
+                self._decrement(rules.pop()[1])
+            if rules == []:
+                del by_right[right]
 
     def record_failure(self, left: int, right: int) -> None:
         if right >= left:
             raise ValueError("a rule's right side must be below its left side")
-        rule = _Rule(left, right)
-        self._rules.append(rule)
+        depth = len(self._frames)
+        rules = self._by_right.setdefault(right, [])
+        if not rules or rules[-1][0] != depth:
+            self._frames[-1].append(right)
+        rules.append((depth, left))
         self._left_alive[left] = self._left_alive.get(left, 0) + 1
-        self._by_right.setdefault(right, []).append(rule)
 
     def remove_rules_by_right_side(self, right: int) -> None:
-        for rule in self._by_right.pop(right, ()):
-            if rule.alive:
-                rule.alive = False
-                self._decrement(rule.left)
+        for _, left in self._by_right.pop(right, ()):
+            self._decrement(left)
 
     def should_skip(self, attr: int) -> bool:
-        return self._left_alive.get(attr, 0) > 0
+        return attr in self._left_alive
 
     def _decrement(self, left: int) -> None:
         remaining = self._left_alive[left] - 1
@@ -282,16 +276,18 @@ class _Runner:
         if len(child_db.suffix_attrs) + len(child_db.prefix_attrs) <= self.dense_width:
             yield self._tree_root(child_db, closed)
             return
-        buckets = occurrence_deliver(child_db)
+        # Taken from the end, largest attribute first: a popped list shrinks,
+        # so the frame holds only the buckets still to be tried.
+        buckets = list(occurrence_deliver(child_db).items())
         if self.node_inspector is not None:
             weight_of = self.ctx.weight_of
-            self.node_inspector(closed, {a: weight_of(rows) for a, rows in buckets.items()})
+            self.node_inspector(closed, {a: weight_of(rows) for a, rows in buckets})
         columns = self.ctx.columns
         rules = self.rules
         if rules is not None:
             rules.push_frame()
-        for a in reversed(child_db.suffix_attrs):
-            child = buckets.pop(a)
+        while buckets:
+            a, child = buckets.pop()
             if rules is not None and rules.should_skip(a):
                 st.pruning_rule_hits += 1
                 if self.check_pruning:

@@ -1,15 +1,18 @@
+import argparse
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conceptmine import concept_digest, mine_concepts, parse_fimi
-from conceptmine.cli import bench, generate_context, main
+from conceptmine.cli import _resolve_support, bench, generate_context, main
 
 from conftest import concept_set
 
@@ -57,6 +60,23 @@ def test_mine_ratio_uses_ceiling(tmp_path, capsys):
     assert run_cli(["mine", str(data), "--min-support-ratio", "0.5", "--sorted"]) == 0
     # ceil(0.5 * 5) = 3: the empty itemset and both singletons reach support 3
     assert capsys.readouterr().out.splitlines() == ["(5)", "1 (3)", "2 (3)"]
+    # 0.07 * 100 is 7.000000000000001 in floats; the threshold is still 7.
+    data.write_text("1 2\n" * 7 + "3\n" * 93)
+    assert run_cli(["mine", str(data), "--min-support-ratio", "0.07", "--sorted"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["(100)", "1 2 (7)", "3 (93)"]
+
+
+def test_support_ratio_is_exact_on_the_decimal_ratio():
+    # The threshold is ceil(R * objects) for R as written, exponent forms included.
+    rng = random.Random(5)
+    ratios = [0.0, 1.0, 0.07, 0.14, 0.27, 0.54, 0.55, 0.56, 1e-05, 1.5e-07, 5e-324, 1 / 3]
+    ratios += [round(rng.random(), rng.randint(1, 8)) for _ in range(500)]
+    ratios += [rng.random() * 10 ** -rng.randint(1, 300) for _ in range(500)]
+    for ratio in ratios:
+        for total in (0, 1, 7, 100, 60_000, 10**9 + 7):
+            args = argparse.Namespace(min_support=None, min_support_ratio=ratio)
+            expected = math.ceil(Fraction(repr(ratio)) * total)
+            assert _resolve_support(args, total) == expected, (ratio, total)
 
 
 def test_mine_empty_input(tmp_path, capsys):
@@ -457,6 +477,27 @@ def test_mine_memory_does_not_follow_the_output(tmp_path):
     output_bytes = out.stat().st_size
     assert output_bytes > 1_000_000
     assert (peak_kb[1] - peak_kb[0]) * 1024 < 2 * output_bytes, (peak_kb, output_bytes)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or sys.platform != "linux", reason="peak RSS in KB from os.wait4"
+)
+def test_mine_memory_on_a_deep_input_stays_near_the_parse(tmp_path):
+    # The 800-row staircase is a chain of 800 nested concepts, so 800 node
+    # frames are on the stack at once; the rule store and the frames must not
+    # grow with the square of that depth.
+    data = tmp_path / "staircase.dat"
+    data.write_text("".join(" ".join(map(str, range(1, i + 1))) + "\n" for i in range(1, 801)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    peak_kb = []
+    # --min-support 801 leaves nothing to mine: parse and preprocess only.
+    for flags in (["--min-support", "801"], ["--algorithm", "lcm2"]):
+        args = ["mine", str(data), *flags, "-o", str(tmp_path / "out.txt")]
+        argv = [sys.executable, "-c", PEAK_RSS_KB, sys.executable, "-m", "conceptmine", *args]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        peak_kb.append(int(done.stdout))
+    assert (peak_kb[1] - peak_kb[0]) < 12 * 1024, peak_kb
 
 
 @pytest.mark.parametrize("algorithm", ["lcm2", "lcm3"])

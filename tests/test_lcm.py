@@ -156,6 +156,41 @@ def test_prune_rule_store_frames_are_independent():
     store.pop_frame()
 
 
+def test_prune_rule_store_matches_a_brute_force_model():
+    # The model is a plain list of (frame depth, left, right) rules.
+    rng = random.Random(11)
+    for _ in range(300):
+        store, model, depth = PruneRuleStore(), [], 0
+        for _ in range(rng.randint(1, 60)):
+            op = rng.random()
+            if depth == 0 or op < 0.25:
+                store.push_frame()
+                depth += 1
+            elif op < 0.45:
+                store.pop_frame()
+                model = [r for r in model if r[0] != depth]
+                depth -= 1
+            elif op < 0.8:
+                left = rng.randint(2, 9)
+                right = rng.randint(1, left - 1)
+                store.record_failure(left, right)
+                model.append((depth, left, right))
+            else:
+                right = rng.randint(1, 9)
+                store.remove_rules_by_right_side(right)
+                model = [r for r in model if r[2] != right]
+            assert len(store) == len(model)
+            for attr in range(11):
+                assert store.should_skip(attr) == any(r[1] == attr for r in model)
+            # Only live rules are held.
+            assert sum(map(len, store._by_right.values())) == len(model)
+        while depth:
+            store.pop_frame()
+            depth -= 1
+        assert len(store) == 0 and not store._by_right
+        assert not any(store.should_skip(attr) for attr in range(11))
+
+
 def test_prune_rule_store_rejects_bad_rule():
     store = PruneRuleStore()
     store.push_frame()
