@@ -6,6 +6,8 @@ are Python ints with row x at bit x.
 
 from __future__ import annotations
 
+from itertools import accumulate, count
+from operator import add
 from typing import Iterable, Iterator
 
 
@@ -24,15 +26,20 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
+def _positions(mask: int, first: int) -> Iterator[int]:
+    # The bits, lowest first, split at each set bit into runs of zeros: the
+    # i-th set bit (from 0) sits after the zeros of runs 0..i and i set bits.
+    # Every step runs in C, with no generator step per bit.
+    runs = format(mask, "b")[::-1].split("1")
+    runs.pop()  # the text after the highest set bit ("0" alone for mask 0)
+    return map(add, accumulate(map(len, runs)), count(first))
+
+
 def set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a non-negative int, ascending from 0."""
-    text = format(mask, "b")[::-1]
-    at = text.find("1")
-    while at >= 0:
-        yield at
-        at = text.find("1", at + 1)
+    return _positions(mask, 0)
 
 
 def ids_of(mask: int) -> tuple[int, ...]:
     """Inverse of :func:`mask_of`: the ascending attribute ids of a bitmask."""
-    return tuple(at + 1 for at in set_bits(mask))
+    return tuple(_positions(mask, 1))

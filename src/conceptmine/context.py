@@ -11,6 +11,7 @@ construction, so any number of enumeration runs may share one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -24,9 +25,9 @@ class FormalContext:
     """Weighted object/attribute incidence table.
 
     Invariants: every row is strictly ascending with ids in 1..num_attributes,
-    every weight is >= 1, and ``attr_cardinality[y]`` is the weighted number of
-    rows containing ``y`` (index 0 is unused padding).  Equal rows share one
-    list object, so rows must not be modified in place.
+    every weight is an int >= 1, and ``attr_cardinality[y]`` is the weighted
+    number of rows containing ``y`` (index 0 is unused padding).  Equal rows
+    share one list object, so rows must not be modified in place.
     """
 
     def __init__(
@@ -50,7 +51,11 @@ class FormalContext:
         if weights is None:
             self.weights = [1] * len(self.rows)
         else:
-            self.weights = list(weights)
+            # Weights index the weight bit-planes: integers only, numpy's stored as int.
+            try:
+                self.weights = list(map(operator.index, weights))
+            except TypeError:
+                raise ValueError("row weights must be integers") from None
             if len(self.weights) != len(self.rows):
                 raise ValueError("weights and rows differ in length")
         highest = max((row[-1] for row in distinct.values() if row), default=0)

@@ -74,32 +74,51 @@ class CompleteFpTree:
         return self.totals.get(attr, 0)
 
     def _push(self, path: int, weight: int, inner: int) -> None:
+        # The hot loops (``_extend``, ``conditional_fptree``, the LCM3 engine's
+        # tree root) inline this step; the totals are summed by ``_extend``.
         key = path.bit_length()  # highest set bit = least frequent attribute
         nodes = self.lists.get(key)
         if nodes is None:
             nodes = self.lists[key] = {}
-            self.totals[key] = 0
         node = nodes.get(path)
         if node is None:
             nodes[path] = FpNode(path, weight, inner)
         else:
             node.weight += weight
             node.inner &= inner
-        self.totals[key] += weight
 
     def _extend(self, start_key: int) -> None:
         # Walk the lists from the least frequent attribute upward; every node
-        # spawns or merges a parent with its own key removed.  Lists created
-        # along the way have strictly smaller keys, so a plain countdown sees
-        # them all.
-        for key in range(start_key, 0, -1):
-            nodes = self.lists.get(key)
+        # spawns or merges a parent with its own key removed.  Lists exist only
+        # at keys in ``path_mask`` and those created along the way have smaller
+        # keys, so a countdown over its set bits sees them all, each one
+        # complete when it is reached: its total is summed there.
+        lists = self.lists
+        totals = self.totals
+        live = self.path_mask & ((1 << start_key) - 1)
+        while live:
+            key = live.bit_length()
+            bit = 1 << (key - 1)
+            live ^= bit
+            nodes = lists.get(key)
             if not nodes:
                 continue
-            for node in nodes.values():
-                parent = node.path_set ^ (1 << (key - 1))
+            total = 0
+            for path, node in nodes.items():
+                weight = node.weight
+                total += weight
+                parent = path ^ bit
                 if parent:
-                    self._push(parent, node.weight, node.inner)
+                    into = lists.get(parent.bit_length())
+                    if into is None:
+                        into = lists[parent.bit_length()] = {}
+                    above = into.get(parent)
+                    if above is None:
+                        into[parent] = FpNode(parent, weight, node.inner)
+                    else:
+                        above.weight += weight
+                        above.inner &= node.inner
+            totals[key] = total
 
     def validate(self) -> None:
         for key, nodes in self.lists.items():
@@ -142,6 +161,10 @@ def build_complete_fptree(
         raise ValueError(f"row attribute exceeds universe width {width}")
     if weights is None:
         weights = [1] * len(masks)
+    elif len(weights) != len(masks):
+        raise ValueError("weights and rows differ in length")
+    elif any(w < 1 for w in weights):
+        raise ValueError("row weights must be positive")
     tree = CompleteFpTree(width)
     for mask, w in zip(masks, weights):
         tree._push(mask, w, mask)
@@ -157,17 +180,29 @@ def conditional_fptree(
     The result spans only attributes more frequent than ``attr``.  ``keep`` is
     a bit-array of the attributes the caller counted as frequent and outside
     the closure; the list's paths are projected onto it before the extension,
-    so no other attribute gets a list.  Without ``keep`` every attribute on
-    the list's paths gets one, whatever its weight.
+    so no other attribute gets a list, and an empty ``keep`` gives the empty
+    tree at once.  Without ``keep`` every attribute on the list's paths gets
+    one, whatever its weight.
     """
     path_mask = tree.path_mask & ((1 << (attr - 1)) - 1)
     if keep is not None:
         path_mask &= keep
     sub = CompleteFpTree(attr - 1, path_mask=path_mask)
-    for node in tree.lists.get(attr, {}).values():
-        parent = node.path_set & path_mask
-        if parent:
-            sub._push(parent, node.weight, node.inner)
+    if not path_mask:
+        return sub
+    lists = sub.lists
+    for path, node in tree.lists.get(attr, {}).items():
+        path &= path_mask
+        if path:
+            into = lists.get(path.bit_length())
+            if into is None:
+                into = lists[path.bit_length()] = {}
+            existing = into.get(path)
+            if existing is None:
+                into[path] = FpNode(path, node.weight, node.inner)
+            else:
+                existing.weight += node.weight
+                existing.inner &= node.inner
     sub._extend(attr - 1)
     return sub
 

@@ -54,7 +54,7 @@ from .bits import RowSet, ids_of, mask_of, set_bits
 from .context import FormalContext
 from .derive import Concept, EnumerationStats, closure, depth_first
 from .errors import ConfigurationError, PruningSoundnessError
-from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree
+from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree, FpNode
 
 
 @dataclass
@@ -319,12 +319,22 @@ class _Runner:
         live_mask = suffix_mask | prefix_mask
         width = db.suffix_attrs[-1]
         tree = CompleteFpTree(width, path_mask=suffix_mask)
+        lists = tree.lists
         row_masks = self.ctx.row_masks
         weights = self.ctx.weights
         for x in set_bits(db.extent):
             mask = row_masks[x]
-            if mask & suffix_mask:  # rows without live suffix attributes feed no deeper extent
-                tree._push(mask & suffix_mask, weights[x], mask & live_mask)
+            path = mask & suffix_mask
+            if path:  # rows without live suffix attributes feed no deeper extent
+                into = lists.get(path.bit_length())
+                if into is None:
+                    into = lists[path.bit_length()] = {}
+                node = into.get(path)
+                if node is None:
+                    into[path] = FpNode(path, weights[x], mask & live_mask)
+                else:
+                    node.weight += weights[x]
+                    node.inner &= mask
         tree._extend(width)
         return self._tree(tree, db.extent, 0, closed, suffix_mask, prefix_mask)
 
@@ -363,10 +373,13 @@ class _Runner:
             st.concepts_emitted += 1
             yield self._emit(_merge_into(closed, ids_of(new_found)), tree.totals[attr], child)
             # Count the candidates on the columns, so that the conditional tree
-            # is built from the frequent attributes outside the closure only.
-            candidates = ids_of(tree.path_mask & ((1 << (attr - 1)) - 1) & ~inter)
-            counts, _ = self.ctx.column_weights(child, candidates)
-            keep = mask_of(a for a, n in zip(candidates, counts) if n >= self.min_weight)
+            # is built from the frequent attributes outside the closure only;
+            # with no candidate the tree is empty and nothing is counted.
+            keep = tree.path_mask & ((1 << (attr - 1)) - 1) & ~inter
+            if keep:
+                candidates = ids_of(keep)
+                counts, _ = self.ctx.column_weights(child, candidates)
+                keep = mask_of(a for a, n in zip(candidates, counts) if n >= self.min_weight)
             # Through the module: perfbench/tracer.py rebinds the name there.
             sub = fptree.conditional_fptree(tree, attr, keep=keep)
             st.conditional_dbs_built += 1

@@ -1,3 +1,5 @@
+import random
+
 from conceptmine.bits import RowSet, ids_of, mask_of, set_bits
 
 
@@ -13,6 +15,12 @@ def test_set_bits_ascending_from_zero():
     assert list(set_bits(0)) == []
     assert list(set_bits(0b1)) == [0]
     assert list(set_bits((1 << 70) | 0b1010)) == [1, 3, 70]
+    rng = random.Random(5)
+    for _ in range(200):
+        mask = rng.getrandbits(rng.randrange(1, 400)) | rng.getrandbits(8) << rng.randrange(400)
+        want = [at for at in range(mask.bit_length()) if mask >> at & 1]
+        assert list(set_bits(mask)) == want
+        assert ids_of(mask) == tuple(at + 1 for at in want)
 
 
 def test_rowset_len_is_row_count():

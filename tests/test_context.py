@@ -335,6 +335,18 @@ def test_context_rejects_bad_rows_and_weights():
         FormalContext([[1], [1]], weights=[1])
 
 
+def test_context_weights_must_be_integers():
+    # A float weight has no bit-planes: it is refused at construction, not mid-run.
+    with pytest.raises(ValueError, match="integers"):
+        FormalContext([[1, 2], [2]], weights=[2.0, 1])
+    np = pytest.importorskip("numpy")
+    ctx = FormalContext([[1, 2], [2]], weights=np.array([2, 1]))
+    assert ctx.weights == [2, 1] and all(type(w) is int for w in ctx.weights)
+    for algorithm in ("cbo", "lcm2", "lcm3"):
+        mined = mine_concepts(ctx, 1, algorithm=algorithm)
+        assert {(c.intent, c.support) for c in mined} == {((2,), 3), ((1, 2), 2)}
+
+
 def test_preprocess_no_merge_option():
     ctx = FormalContext([[1], [1]])
     pre, _, merge = preprocess(ctx, 0, merge_rows=False)

@@ -48,6 +48,15 @@ def test_build_rejects_empty_rows():
         build_complete_fptree([[1], []])
 
 
+def test_build_rejects_bad_weights():
+    # zip would drop the third row, and weights below 1 break validate().
+    with pytest.raises(ValueError, match="differ in length"):
+        build_complete_fptree([[1], [1, 2], [2]], weights=[1, 1])
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            build_complete_fptree([[1], [1, 2], [2]], weights=[1, bad, 1])
+
+
 def test_conditional_tree_on_attribute_3():
     tree = build_complete_fptree(K1_DENSE)
     cond = conditional_fptree(tree, 3)
@@ -145,6 +154,42 @@ def test_conditional_chain_equals_restricted_build():
                 for k in rebuilt.attributes()
             }
             assert got == want
+
+
+def test_conditional_tree_with_keep_matches_grouped_rows():
+    # List k of conditional_fptree(tree, attr, keep=...) groups the weighted rows
+    # containing attr and k by their projection onto keep and 1..k; the inner
+    # is the intersection of the whole rows of a group.
+    rng = random.Random(11)
+    for i in range(40):
+        width = rng.randrange(2, 14)
+        rows = [
+            sorted(rng.sample(range(1, width + 1), rng.randrange(1, width + 1)))
+            for _ in range(rng.randrange(1, 30))
+        ]
+        weights = [rng.randrange(1, 4) for _ in rows]
+        tree = build_complete_fptree(rows, weights, width=width)
+        for attr in range(1, width + 1):
+            assert conditional_fptree(tree, attr, keep=0).lists == {}
+            keep = rng.getrandbits(attr - 1)
+            cond = conditional_fptree(tree, attr, keep=keep)
+            cond.validate()
+            want = {}
+            for row, w in zip(rows, weights):
+                if attr not in row:
+                    continue
+                kept = [a for a in row if a < attr and keep >> (a - 1) & 1]
+                for k in kept:
+                    head = tuple(a for a in kept if a <= k)
+                    entry = want.setdefault(k, {}).setdefault(head, [0, set(row)])
+                    entry[0] += w
+                    entry[1] &= set(row)
+            got = {
+                k: {n.path_attrs(): [n.weight, set(n.inner_attrs())] for n in cond.list_nodes(k)}
+                for k in cond.attributes()
+            }
+            assert got == want, (i, attr, keep)
+            assert cond.totals == {k: sum(e[0] for e in g.values()) for k, g in want.items()}
 
 
 def test_lcm3_matches_oracle_on_k1(k1):
