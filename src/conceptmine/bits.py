@@ -6,9 +6,9 @@ are Python ints with row x at bit x.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, count
 from operator import add
-from typing import Iterable, Iterator
 
 
 class RowSet(int):

@@ -9,7 +9,7 @@ a frame on the explicit stack of :func:`conceptmine.derive.depth_first`.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .bits import ids_of
 from .context import FormalContext

@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from .context import FormalContext, parse_cxt, parse_fimi
 from .derive import EnumerationStats
@@ -241,7 +240,8 @@ def _cmd_mine(args) -> int:
     if args.stats:
         record = stats.as_dict()
         record["wall_ms"] = wall_ms
-        Path(args.stats).write_text(json.dumps(record, indent=2) + "\n")
+        with open(args.stats, "w", encoding="utf-8") as out:
+            out.write(json.dumps(record, indent=2) + "\n")
     total_support = sum(c.support for c in concepts)
     print(f"{len(concepts)} concepts, total support {total_support}", file=sys.stderr)
     return EXIT_OK
@@ -251,7 +251,8 @@ def _cmd_gen(args) -> int:
     ctx = _generate_from_args(args)
     payload = "".join(" ".join(str(a) for a in row) + "\n" for row in ctx.rows)
     if args.output:
-        Path(args.output).write_text(payload)
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(payload)
     else:
         with _stdout() as out:
             out.write(payload)

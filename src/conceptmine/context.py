@@ -12,10 +12,9 @@ construction, so any number of enumeration runs may share one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
 
 from .bits import mask_of
 from .errors import ParseError
@@ -162,8 +161,41 @@ def _row_bitset(rows: Iterable[int], num_rows: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@dataclass(frozen=True)
-class AttributeRemap:
+class Frozen:
+    """Base of the immutable value classes, whose fields are their ``__slots__``.
+
+    Instances compare and hash by their fields, and equal only instances of
+    the same class; assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):  # pickle and copy would restore the fields by assignment
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AttributeRemap(Frozen):
     """Bijection between dense working attribute ids and the caller's original ids.
 
     ``new_to_old[k-1]`` is the original id of working attribute k; ``old_to_new``
@@ -171,8 +203,11 @@ class AttributeRemap:
     removed).
     """
 
-    new_to_old: tuple[int, ...]
-    old_to_new: dict[int, int]
+    __slots__ = ("new_to_old", "old_to_new")
+
+    def __init__(self, new_to_old: tuple[int, ...], old_to_new: dict[int, int]):
+        object.__setattr__(self, "new_to_old", new_to_old)
+        object.__setattr__(self, "old_to_new", old_to_new)
 
     @classmethod
     def identity(cls, n: int) -> "AttributeRemap":
@@ -197,11 +232,13 @@ def compose_remaps(first: AttributeRemap, second: AttributeRemap) -> AttributeRe
     return AttributeRemap(new_to_old, old_to_new)
 
 
-@dataclass(frozen=True)
-class ObjectMerge:
+class ObjectMerge(Frozen):
     """For each retained row, the original object indices merged into it."""
 
-    groups: tuple[tuple[int, ...], ...]
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "groups", groups)
 
     def to_original(self, row_indices: Iterable[int]) -> tuple[int, ...]:
         # Each group is ascending, so timsort merges them as runs.
@@ -259,13 +296,25 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
     return ctx, AttributeRemap(tuple(ordered), old_to_new)
 
 
+def _count(line: str) -> int | None:
+    """A .cxt count: ASCII decimal digits, with surrounding whitespace; else None."""
+    text = line.strip()
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    return None
+
+
 def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     """Parse a Burmeister .cxt file.
 
     Layout: "B" header, an optional name line, object count, attribute count,
     a blank line, object names, attribute names, then one '.'/'X' line per
-    object.  Names are kept on the returned context.  The source is decoded
-    text, as for :func:`parse_fimi`.
+    object.  Counts are ASCII decimal digits; any other line right after the
+    header is the name line.  Names are kept on the returned context.  The
+    source is decoded text, as for :func:`parse_fimi`.
     """
     lines = _lines(source)
     pos = 0
@@ -282,22 +331,17 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     if header != "B":
         raise ParseError(f"expected header 'B', got {header!r}", pos)
     counts_line = take("object count")
-    try:
-        num_objects = int(counts_line.strip())
-    except ValueError:
+    num_objects = _count(counts_line)
+    if num_objects is None:
         # the optional context-name line was present; counts start next
         counts_line = take("object count")
-        try:
-            num_objects = int(counts_line.strip())
-        except ValueError:
-            raise ParseError(f"expected object count, got {counts_line!r}", pos) from None
+        num_objects = _count(counts_line)
+        if num_objects is None:
+            raise ParseError(f"expected object count, got {counts_line!r}", pos)
     attr_line = take("attribute count")
-    try:
-        num_attributes = int(attr_line.strip())
-    except ValueError:
-        raise ParseError(f"expected attribute count, got {attr_line!r}", pos) from None
-    if num_objects < 0 or num_attributes < 0:
-        raise ParseError("counts must be non-negative", pos)
+    num_attributes = _count(attr_line)
+    if num_attributes is None:
+        raise ParseError(f"expected attribute count, got {attr_line!r}", pos)
     blank = take("blank separator line")
     if blank.strip():
         raise ParseError(f"expected a blank line before the name block, got {blank!r}", pos)

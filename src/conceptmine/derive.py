@@ -10,33 +10,39 @@ explicit-stack driver every fast engine runs its generation tree on.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .bits import ids_of
-from .context import FormalContext
+from .context import FormalContext, Frozen
 from .errors import CapacityError
 
 
-@dataclass(frozen=True)
-class ObjectSet:
+class ObjectSet(Frozen):
     """Ascending object indices plus the sum of their weights."""
 
-    members: tuple[int, ...]
-    weighted_size: int
+    __slots__ = ("members", "weighted_size")
+
+    def __init__(self, members: tuple[int, ...], weighted_size: int):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "weighted_size", weighted_size)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Concept:
-    intent: tuple[int, ...]
-    support: int
-    extent: tuple[int, ...] | None = None
+class Concept(Frozen):
+    """Ascending attribute ids, their weighted support, and the object ids when asked."""
+
+    __slots__ = ("intent", "support", "extent")
+
+    def __init__(
+        self, intent: tuple[int, ...], support: int, extent: tuple[int, ...] | None = None
+    ):
+        object.__setattr__(self, "intent", intent)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "extent", extent)
 
 
-@dataclass
 class EnumerationStats:
     """Traversal counters shared by every engine.
 
@@ -45,15 +51,42 @@ class EnumerationStats:
     recursive_calls.
     """
 
-    concepts_emitted: int = 0
-    recursive_calls: int = 0
-    closure_computations: int = 0
-    canonicity_failures: int = 0
-    pruning_rule_hits: int = 0
-    conditional_dbs_built: int = 0
+    __slots__ = (  # the order of as_dict() and of ``--stats``
+        "concepts_emitted",
+        "recursive_calls",
+        "closure_computations",
+        "canonicity_failures",
+        "pruning_rule_hits",
+        "conditional_dbs_built",
+    )
+
+    def __init__(
+        self,
+        concepts_emitted: int = 0,
+        recursive_calls: int = 0,
+        closure_computations: int = 0,
+        canonicity_failures: int = 0,
+        pruning_rule_hits: int = 0,
+        conditional_dbs_built: int = 0,
+    ):
+        self.concepts_emitted = concepts_emitted
+        self.recursive_calls = recursive_calls
+        self.closure_computations = closure_computations
+        self.canonicity_failures = canonicity_failures
+        self.pruning_rule_hits = pruning_rule_hits
+        self.conditional_dbs_built = conditional_dbs_built
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not EnumerationStats:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value}" for name, value in self.as_dict().items())
+        return f"EnumerationStats({fields})"
 
 
 def depth_first(root: Iterator) -> Iterator[Concept]:

@@ -19,7 +19,7 @@ that mines on these trees lives in :mod:`conceptmine.lcm`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .bits import ids_of
 

@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
-from typing import Callable, Iterable, Iterator
 
 from . import fptree
 from .bits import RowSet, ids_of, mask_of, set_bits
@@ -57,7 +56,6 @@ from .errors import ConfigurationError, PruningSoundnessError
 from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree, FpNode
 
 
-@dataclass
 class ConditionalDatabase:
     """The context restricted to one extent, reduced to its live attributes.
 
@@ -69,12 +67,23 @@ class ConditionalDatabase:
     which is all the later canonicity checks need.
     """
 
-    ctx: FormalContext
-    anchor: int
-    prefix_attrs: tuple[int, ...]
-    suffix_attrs: tuple[int, ...]
-    extent: RowSet
-    extent_weight: int
+    __slots__ = ("ctx", "anchor", "prefix_attrs", "suffix_attrs", "extent", "extent_weight")
+
+    def __init__(
+        self,
+        ctx: FormalContext,
+        anchor: int,
+        prefix_attrs: tuple[int, ...],
+        suffix_attrs: tuple[int, ...],
+        extent: RowSet,
+        extent_weight: int,
+    ):
+        self.ctx = ctx
+        self.anchor = anchor
+        self.prefix_attrs = prefix_attrs
+        self.suffix_attrs = suffix_attrs
+        self.extent = extent
+        self.extent_weight = extent_weight
 
     @property
     def num_rows(self) -> int:
@@ -212,7 +221,6 @@ def root_database(ctx: FormalContext) -> ConditionalDatabase:
     )
 
 
-@dataclass
 class _Runner:
     """State for one enumeration run: options, counters, rule store.
 
@@ -222,17 +230,26 @@ class _Runner:
     sibling is tried.  ``dense_width`` 0 never engages the FP-trees (LCM2).
     """
 
-    ctx: FormalContext
-    min_support: int
-    dense_width: int | float
-    rules: PruneRuleStore | None
-    stats: EnumerationStats
-    with_extents: bool
-    check_pruning: bool
-    node_inspector: Callable | None
-
-    def __post_init__(self):
-        self.min_weight = max(1, self.min_support)
+    def __init__(
+        self,
+        ctx: FormalContext,
+        min_support: int,
+        dense_width: int | float,
+        rules: PruneRuleStore | None,
+        stats: EnumerationStats,
+        with_extents: bool,
+        check_pruning: bool,
+        node_inspector: Callable | None,
+    ):
+        self.ctx = ctx
+        self.min_support = min_support
+        self.min_weight = max(1, min_support)
+        self.dense_width = dense_width
+        self.rules = rules
+        self.stats = stats
+        self.with_extents = with_extents
+        self.check_pruning = check_pruning
+        self.node_inspector = node_inspector
 
     def run(self) -> Iterator[Concept]:
         st = self.stats

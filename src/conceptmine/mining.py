@@ -12,7 +12,7 @@ attribute remap and object merge.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .cbo import cbo_enumerate
 from .context import AttributeRemap, FormalContext, ObjectMerge, compose_remaps, preprocess

@@ -234,6 +234,13 @@ def test_mine_cxt_input(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["1 3 (2)", "2 3 (2)", "3 (4)"]
 
 
+def test_mine_cxt_count_not_in_ascii_digits_exits_2(monkeypatch, capsys):
+    # int() would read "0_2" as 2 and mine two objects.
+    monkeypatch.setattr("sys.stdin", io.StringIO("B\n\n0_2\n1\n\na\nb\nx\nX\nX\n"))
+    assert run_cli(["mine", "-", "--format", "cxt"]) == 2
+    assert "line 3: expected object count, got '0_2'" in capsys.readouterr().err
+
+
 def test_mine_no_attr_sort_same_concepts(tmp_path, capsys):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
@@ -431,11 +438,14 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT).returncode == 0
 
 
-def test_importing_the_cli_leaves_bench_only_modules_unloaded():
-    # Only `bench` needs these, and hashlib loads OpenSSL. -S keeps a site
-    # .pth hook from importing any of them before conceptmine does.
+def test_importing_the_cli_leaves_unused_modules_unloaded():
+    # Only `bench` needs the first three, and hashlib loads OpenSSL. The rest
+    # cost every run its cold start: dataclasses alone pulls in inspect, ast,
+    # dis and tokenize. -S keeps a site .pth hook from importing any of them
+    # before conceptmine does.
+    unused = {"hashlib", "statistics", "csv", "dataclasses", "inspect", "ast", "typing", "pathlib"}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, conceptmine.cli; print(sorted({'hashlib', 'statistics', 'csv'} & set(sys.modules)))"
+    code = f"import sys, conceptmine.cli; print(sorted({unused!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, cwd=ROOT, capture_output=True, text=True
     )

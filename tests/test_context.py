@@ -195,6 +195,19 @@ def test_parse_cxt_named_header():
     assert ctx.rows == [[2]]
 
 
+@pytest.mark.parametrize("text", ["0_2", "+2", "\uff12", "1_0", "-1"])
+def test_parse_cxt_counts_are_ascii_decimal(text):
+    # Not a count, so right after the header it is the optional name line.
+    ctx, _ = parse_cxt(f"B\n{text}\n1\n1\n\no\na\nX\n")
+    assert ctx.rows == [[1]]
+    with pytest.raises(ParseError) as caught:
+        parse_cxt(f"B\nname\n{text}\n1\n\no\na\nX\n")
+    assert str(caught.value) == f"line 3: expected object count, got {text!r}"
+    with pytest.raises(ParseError) as caught:
+        parse_cxt(f"B\n\n1\n{text}\n\no\na\nX\n")
+    assert str(caught.value) == f"line 4: expected attribute count, got {text!r}"
+
+
 def test_parse_cxt_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="expected header"):
         parse_cxt("Z\n\n1\n1\n\no\na\nX\n")

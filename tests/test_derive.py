@@ -1,9 +1,15 @@
+import copy
+import pickle
+
 import pytest
 
 from conceptmine import (
+    AttributeRemap,
     CapacityError,
+    Concept,
     EnumerationStats,
     FormalContext,
+    ObjectMerge,
     closure,
     down,
     enumerate_naive,
@@ -12,6 +18,35 @@ from conceptmine import (
 from conceptmine.cli import generate_context
 
 from conftest import K1_CONCEPTS, concept_set, random_context
+
+
+def test_value_classes_compare_by_value_and_refuse_assignment():
+    a, b = Concept((1, 3), 2, (0, 1)), Concept((1, 3), 2, (0, 1))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Concept((1, 3), 2) and a != ((1, 3), 2, (0, 1))
+    assert repr(a) == "Concept(intent=(1, 3), support=2, extent=(0, 1))"
+    assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.support = 3
+    with pytest.raises(AttributeError):
+        del a.extent
+    # The `--stats` JSON order, as the README lists it.
+    assert list(EnumerationStats().as_dict()) == [
+        "concepts_emitted",
+        "recursive_calls",
+        "closure_computations",
+        "canonicity_failures",
+        "pruning_rule_hits",
+        "conditional_dbs_built",
+    ]
+    assert EnumerationStats(1, pruning_rule_hits=2).as_dict()["pruning_rule_hits"] == 2
+    remap = AttributeRemap((5, 9), {5: 1, 9: 2})
+    assert remap == AttributeRemap((5, 9), {5: 1, 9: 2})
+    assert remap != AttributeRemap((9, 5), {9: 1, 5: 2})
+    assert ObjectMerge(((0, 2), (1,))) == ObjectMerge(((0, 2), (1,)))
+    assert ObjectMerge(((0, 2), (1,))) != ObjectMerge(((0,), (1, 2)))
+    with pytest.raises(AttributeError):
+        remap.old_to_new = {}
 
 
 def test_up_on_k1(k1):
