@@ -8,7 +8,6 @@ reader of standard output closed it early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -238,6 +237,8 @@ def _cmd_mine(args) -> int:
         with _stdout() as out:
             out.writelines(lines)
     if args.stats:
+        import json  # here, not at module level: only --stats needs it
+
         record = stats.as_dict()
         record["wall_ms"] = wall_ms
         with open(args.stats, "w", encoding="utf-8") as out:

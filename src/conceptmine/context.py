@@ -313,8 +313,9 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     Layout: "B" header, an optional name line, object count, attribute count,
     a blank line, object names, attribute names, then one '.'/'X' line per
     object.  Counts are ASCII decimal digits; any other line right after the
-    header is the name line.  Names are kept on the returned context.  The
-    source is decoded text, as for :func:`parse_fimi`.
+    header is the name line, and so is a count there when two more counts
+    follow it.  Names are kept on the returned context.  The source is
+    decoded text, as for :func:`parse_fimi`.
     """
     lines = _lines(source)
     pos = 0
@@ -330,14 +331,15 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     header = take("header 'B'").strip()
     if header != "B":
         raise ParseError(f"expected header 'B', got {header!r}", pos)
+    # The optional name line is present when the next line is no count, or
+    # when three counts follow: without a name the third is the blank line.
+    ahead = [_count(line) for line in lines[pos : pos + 3]]
+    if ahead and (ahead[0] is None or len(ahead) == 3 and None not in ahead):
+        pos += 1
     counts_line = take("object count")
     num_objects = _count(counts_line)
     if num_objects is None:
-        # the optional context-name line was present; counts start next
-        counts_line = take("object count")
-        num_objects = _count(counts_line)
-        if num_objects is None:
-            raise ParseError(f"expected object count, got {counts_line!r}", pos)
+        raise ParseError(f"expected object count, got {counts_line!r}", pos)
     attr_line = take("attribute count")
     num_attributes = _count(attr_line)
     if num_attributes is None:

@@ -12,6 +12,11 @@ intersection of the inners of one whole list is therefore a closed set, and
 extending a list with its key removed yields the conditional tree for that
 attribute.
 
+Each list maps path bit-arrays to ``(weight, inner)`` tuples, so a tree holds
+no node objects, and the extension step takes each list's total weight and
+intersection of inners as it walks it.  :class:`FpNode` is only a view that
+:meth:`CompleteFpTree.list_nodes` builds on demand.
+
 All bit-arrays are plain Python integers (attribute k at bit k-1); equality,
 intersection and the key lookup are single int operations.  The LCM3 engine
 that mines on these trees lives in :mod:`conceptmine.lcm`.
@@ -50,51 +55,50 @@ class FpNode:
 class CompleteFpTree:
     """Per-attribute node lists over a dense universe 1..width.
 
-    ``lists[a]`` maps path bit-arrays to nodes (the bit-array is the node
-    identity); ``totals[a]`` is the weighted size of list a.  ``path_mask``
-    limits which attributes participate in path sets - attributes outside it
-    (the prefix attributes of a conditional database, and in the engine's
-    conditional trees the infrequent and closure attributes) appear only
-    inside ``inner`` bit-arrays.
+    ``lists[a]`` maps path bit-arrays to ``(weight, inner)`` tuples (the
+    bit-array is the node identity); ``totals[a]`` is the weighted size of
+    list a and ``inters[a]`` the intersection of its inners, both filled by
+    the extension step.  ``path_mask`` limits which attributes participate
+    in path sets - attributes outside it (the prefix attributes of a
+    conditional database, and in the engine's conditional trees the
+    infrequent and closure attributes) appear only inside inner bit-arrays.
     """
 
     def __init__(self, width: int, path_mask: int | None = None):
         self.width = width
         self.path_mask = path_mask if path_mask is not None else (1 << width) - 1
-        self.lists: dict[int, dict[int, FpNode]] = {}
+        self.lists: dict[int, dict[int, tuple[int, int]]] = {}
         self.totals: dict[int, int] = {}
+        self.inters: dict[int, int] = {}
 
     def attributes(self) -> list[int]:
         return sorted(self.lists)
 
     def list_nodes(self, attr: int) -> list[FpNode]:
-        return list(self.lists.get(attr, {}).values())
+        return [FpNode(path, *node) for path, node in self.lists.get(attr, {}).items()]
 
     def list_weight(self, attr: int) -> int:
         return self.totals.get(attr, 0)
 
     def _push(self, path: int, weight: int, inner: int) -> None:
         # The hot loops (``_extend``, ``conditional_fptree``, the LCM3 engine's
-        # tree root) inline this step; the totals are summed by ``_extend``.
+        # tree root) inline this step; ``_extend`` takes the totals and intersections.
         key = path.bit_length()  # highest set bit = least frequent attribute
         nodes = self.lists.get(key)
         if nodes is None:
             nodes = self.lists[key] = {}
         node = nodes.get(path)
-        if node is None:
-            nodes[path] = FpNode(path, weight, inner)
-        else:
-            node.weight += weight
-            node.inner &= inner
+        nodes[path] = (weight, inner) if node is None else (node[0] + weight, node[1] & inner)
 
     def _extend(self, start_key: int) -> None:
         # Walk the lists from the least frequent attribute upward; every node
         # spawns or merges a parent with its own key removed.  Lists exist only
         # at keys in ``path_mask`` and those created along the way have smaller
         # keys, so a countdown over its set bits sees them all, each one
-        # complete when it is reached: its total is summed there.
+        # complete when it is reached: its total and intersection are taken there.
         lists = self.lists
         totals = self.totals
+        inters = self.inters
         live = self.path_mask & ((1 << start_key) - 1)
         while live:
             key = live.bit_length()
@@ -104,32 +108,33 @@ class CompleteFpTree:
             if not nodes:
                 continue
             total = 0
+            inter = -1
             for path, node in nodes.items():
-                weight = node.weight
+                weight, inner = node
                 total += weight
+                inter &= inner
                 parent = path ^ bit
                 if parent:
                     into = lists.get(parent.bit_length())
                     if into is None:
                         into = lists[parent.bit_length()] = {}
                     above = into.get(parent)
-                    if above is None:
-                        into[parent] = FpNode(parent, weight, node.inner)
-                    else:
-                        above.weight += weight
-                        above.inner &= node.inner
+                    into[parent] = node if above is None else (above[0] + weight, above[1] & inner)
             totals[key] = total
+            inters[key] = inter
 
     def validate(self) -> None:
         for key, nodes in self.lists.items():
             total = 0
-            for path, node in nodes.items():
-                assert path == node.path_set
+            inter = -1
+            for path, (weight, inner) in nodes.items():
                 assert path.bit_length() == key, "node filed under the wrong list"
-                assert node.path_set & node.inner == node.path_set, "path_set not within inner"
-                assert node.weight >= 1
-                total += node.weight
+                assert path & inner == path, "path_set not within inner"
+                assert weight >= 1
+                total += weight
+                inter &= inner
             assert total == self.totals[key]
+            assert inter == self.inters[key], "list intersection differs from its inners"
 
 
 def build_complete_fptree(
@@ -197,22 +202,14 @@ def conditional_fptree(
             into = lists.get(path.bit_length())
             if into is None:
                 into = lists[path.bit_length()] = {}
-            existing = into.get(path)
-            if existing is None:
-                into[path] = FpNode(path, node.weight, node.inner)
-            else:
-                existing.weight += node.weight
-                existing.inner &= node.inner
+            above = into.get(path)
+            into[path] = node if above is None else (above[0] + node[0], above[1] & node[1])
     sub._extend(attr - 1)
     return sub
 
 
 def intent_of_list(tree: CompleteFpTree, attr: int) -> tuple[tuple[int, ...], int]:
-    """Intersect the inner intersections of one list: a closed set plus its support."""
-    nodes = tree.lists.get(attr)
-    if not nodes:
+    """One list's intersection of inners, taken by the extension: a closed set plus its support."""
+    if not tree.lists.get(attr):
         raise ValueError(f"list for attribute {attr} is empty")
-    inter = -1
-    for node in nodes.values():
-        inter &= node.inner
-    return ids_of(inter), tree.totals[attr]
+    return ids_of(tree.inters[attr]), tree.totals[attr]

@@ -24,8 +24,9 @@ within ``dense_width``, then mines the whole subtree on complete FP-trees
 (:mod:`conceptmine.fptree`): the tree is built from the rows of the node's
 extent bitset, each row's mask cut to the live attributes; lists act as the
 delivered buckets, conditional trees replace conditional databases, and
-canonicity is read off the inner intersections.  Inside such a subtree the
-generation order is mirrored - children add attributes in descending id
+closure and canonicity are read off each list's intersection of inners,
+which the extension step takes as it sums the list.  Inside such a subtree
+the generation order is mirrored - children add attributes in descending id
 order, because a conditional tree only spans attributes more frequent than
 its key - and the subtree still owns exactly the closed sets whose closure
 adds no attribute below the engagement anchor.  Each node's extent bitset is
@@ -53,7 +54,7 @@ from .bits import RowSet, ids_of, mask_of, set_bits
 from .context import FormalContext
 from .derive import Concept, EnumerationStats, closure, depth_first
 from .errors import ConfigurationError, PruningSoundnessError
-from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree, FpNode
+from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree
 
 
 class ConditionalDatabase:
@@ -348,10 +349,9 @@ class _Runner:
                     into = lists[path.bit_length()] = {}
                 node = into.get(path)
                 if node is None:
-                    into[path] = FpNode(path, weights[x], mask & live_mask)
+                    into[path] = (weights[x], mask & live_mask)
                 else:
-                    node.weight += weights[x]
-                    node.inner &= mask
+                    into[path] = (node[0] + weights[x], node[1] & mask)
         tree._extend(width)
         return self._tree(tree, db.extent, 0, closed, suffix_mask, prefix_mask)
 
@@ -376,9 +376,7 @@ class _Runner:
         for attr in sorted(tree.lists):
             st.recursive_calls += 1
             st.closure_computations += 1
-            inter = -1
-            for node in tree.lists[attr].values():
-                inter &= node.inner
+            inter = tree.inters[attr]
             # Violators: prefix attributes of the engagement database, or live
             # attributes above this one that the closure pulled in unasked.
             above = suffix_mask & ~((1 << attr) - 1)

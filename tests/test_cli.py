@@ -234,6 +234,12 @@ def test_mine_cxt_input(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["1 3 (2)", "2 3 (2)", "3 (4)"]
 
 
+def test_mine_cxt_name_of_digits(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("B\n2020\n1\n1\n\no\na\nX\n"))
+    assert run_cli(["mine", "-", "--format", "cxt"]) == 0
+    assert capsys.readouterr().out == "1 (1)\n"
+
+
 def test_mine_cxt_count_not_in_ascii_digits_exits_2(monkeypatch, capsys):
     # int() would read "0_2" as 2 and mine two objects.
     monkeypatch.setattr("sys.stdin", io.StringIO("B\n\n0_2\n1\n\na\nb\nx\nX\nX\n"))
@@ -443,7 +449,9 @@ def test_importing_the_cli_leaves_unused_modules_unloaded():
     # cost every run its cold start: dataclasses alone pulls in inspect, ast,
     # dis and tokenize. -S keeps a site .pth hook from importing any of them
     # before conceptmine does.
-    unused = {"hashlib", "statistics", "csv", "dataclasses", "inspect", "ast", "typing", "pathlib"}
+    unused = {
+        "hashlib", "statistics", "csv", "dataclasses", "inspect", "ast", "typing", "pathlib", "json"
+    }
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = f"import sys, conceptmine.cli; print(sorted({unused!r} & set(sys.modules)))"
     done = subprocess.run(

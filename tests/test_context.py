@@ -195,6 +195,29 @@ def test_parse_cxt_named_header():
     assert ctx.rows == [[2]]
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "B\n2020\n1\n1\n\no\na\nX\n",  # a name made only of digits
+        "B\n\n1\n1\n\no\na\nX\n",  # the usual empty name line
+        "B\n1\n1\n\no\na\nX\n",  # no name line at all
+    ],
+)
+def test_parse_cxt_name_line_told_apart_from_counts(source):
+    ctx, _ = parse_cxt(source)
+    assert ctx.rows == [[1]]
+    assert (ctx.object_names, ctx.attr_names) == (["o"], ["a"])
+
+
+def test_parse_cxt_digit_name_keeps_count_errors():
+    with pytest.raises(ParseError) as caught:
+        parse_cxt("B\n2020\n1\n1\nx\no\na\nX\n")  # no blank line after the counts
+    assert str(caught.value) == "line 5: expected a blank line before the name block, got 'x'"
+    with pytest.raises(ParseError) as caught:
+        parse_cxt("B\n2020\n1\nx\n\no\na\nX\n")  # two counts only: no name line
+    assert str(caught.value) == "line 4: expected a blank line before the name block, got 'x'"
+
+
 @pytest.mark.parametrize("text", ["0_2", "+2", "\uff12", "1_0", "-1"])
 def test_parse_cxt_counts_are_ascii_decimal(text):
     # Not a count, so right after the header it is the optional name line.

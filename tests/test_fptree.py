@@ -309,6 +309,36 @@ def test_lcm3_with_extents_matches_lcm2_on_dense_implications():
                     assert tuple(stats.as_dict().values()) == SURVEY_LIKE_STATS[key]
 
 
+def test_lcm3_mines_without_node_objects(monkeypatch):
+    # Lists hold (weight, inner) tuples; FpNode is only the view list_nodes() builds.
+    from conceptmine import fptree, mine_concepts
+
+    original = fptree.conditional_fptree
+    built = []
+
+    def refuse(self, *args):
+        raise AssertionError("FpNode built on the mining path")
+
+    def counted(tree, attr, *args, **kwargs):
+        sub = original(tree, attr, *args, **kwargs)
+        built.append(len(sub.lists))
+        return sub
+
+    for seed in range(2):
+        ctx = survey_like(seed)
+        reference = concept_set(mine_concepts(ctx, 1, algorithm="lcm2"))
+        with monkeypatch.context() as patched:
+            patched.setattr(fptree.FpNode, "__init__", refuse)
+            patched.setattr(fptree, "conditional_fptree", counted)
+            for width in (4, 128, math.inf):
+                built.clear()
+                mined = mine_concepts(ctx, 1, algorithm="lcm3", dense_width=width)
+                assert concept_set(mined) == reference
+                assert sum(built) > 0  # the FP-tree phase ran and built non-empty trees
+        tree = build_complete_fptree([r for r in ctx.rows if r], width=ctx.num_attributes)
+        assert all(type(n) is fptree.FpNode for a in tree.attributes() for n in tree.list_nodes(a))
+
+
 def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
     # Wrap the module-level builder the engine calls and check every tree it returns.
     from conceptmine import fptree, mine_concepts
@@ -320,7 +350,7 @@ def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
         sub = original(tree, attr, *args, **kwargs)
         sub.validate()
         closure_bits = -1
-        for node in tree.lists[attr].values():
+        for node in tree.list_nodes(attr):
             closure_bits &= node.inner
         for key in sub.lists:
             assert sub.totals[key] >= min_weight, (attr, key)
