@@ -8,11 +8,15 @@ a row bitset, an attribute's frequency is the weighted popcount of the extent
 ANDed with its column (:meth:`FormalContext.column_weights`), and an attribute
 is full exactly when its column covers the extent.  Each node's conditional
 database is its extent plus the live attributes - constant, empty and
-infrequent ones dropped - split at the anchor into suffix candidates and the
-prefix attributes that later canonicity checks need.  Occurrence deliver
-fills every child extent (bucket) with one AND per suffix attribute.  The
-canonicity test stops at the smallest violator, as in In-Close.  Children
-are expanded right to left, largest attribute first.
+infrequent ones dropped - held once as an ascending tuple and split at the
+anchor into suffix candidates and the prefix attributes that later canonicity
+checks need.  Frequencies come as a list aligned with that tuple, so the
+child's database keeps its attributes in order without a sort.  Occurrence
+deliver fills every child extent (bucket) with one AND per suffix attribute.
+The canonicity test stops at the smallest violator, as in In-Close.  Children
+are expanded right to left, largest attribute first.  As in Close-by-One,
+each node's intent is an attribute bitmask, turned into ids only when the
+node is emitted.
 
 Pruning reuses failed canonicity tests: when descending into attribute i
 forced some earlier attribute j into the closure, the rule "i adds j" skips
@@ -46,8 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from collections.abc import Callable, Iterator
 
 from . import fptree
 from .bits import RowSet, ids_of, mask_of, set_bits
@@ -62,29 +65,37 @@ class ConditionalDatabase:
 
     The extent is a row bitset of the source context.  Live attributes occur
     in the extent without covering it and reach the minimum support; they are
-    split at the anchor into suffix attributes above it (candidates for
-    deeper recursion) and prefix attributes below it.  A prefix attribute
-    enters a child's closure exactly when its column covers the child extent,
-    which is all the later canonicity checks need.
+    held once, ascending, in ``attrs``.  ``split`` divides them at the anchor
+    into prefix attributes below it and suffix attributes above it
+    (candidates for deeper recursion).  A prefix attribute enters a child's
+    closure exactly when its column covers the child extent, which is all the
+    later canonicity checks need.
     """
 
-    __slots__ = ("ctx", "anchor", "prefix_attrs", "suffix_attrs", "extent", "extent_weight")
+    __slots__ = ("ctx", "anchor", "attrs", "split", "extent", "extent_weight")
 
     def __init__(
         self,
         ctx: FormalContext,
         anchor: int,
-        prefix_attrs: tuple[int, ...],
-        suffix_attrs: tuple[int, ...],
+        attrs: tuple[int, ...],
         extent: RowSet,
         extent_weight: int,
     ):
         self.ctx = ctx
         self.anchor = anchor
-        self.prefix_attrs = prefix_attrs
-        self.suffix_attrs = suffix_attrs
+        self.attrs = attrs
+        self.split = bisect_left(attrs, anchor)
         self.extent = extent
         self.extent_weight = extent_weight
+
+    @property
+    def prefix_attrs(self) -> tuple[int, ...]:
+        return self.attrs[: self.split]
+
+    @property
+    def suffix_attrs(self) -> tuple[int, ...]:
+        return self.attrs[self.split :]
 
     @property
     def num_rows(self) -> int:
@@ -92,36 +103,30 @@ class ConditionalDatabase:
 
     def validate(self) -> None:
         ctx = self.ctx
+        attrs = self.attrs
         assert ctx.weight_of(self.extent) == self.extent_weight
+        assert all(a < b for a, b in zip(attrs, attrs[1:])), "live attributes not ascending"
         assert all(a < self.anchor for a in self.prefix_attrs)
         assert all(a > self.anchor for a in self.suffix_attrs)
-        for a in self.prefix_attrs + self.suffix_attrs:
+        for a in attrs:
             count = ctx.weight_of(self.extent & ctx.columns[a])
             assert 0 < count < self.extent_weight, f"live attribute {a} full or empty"
 
 
-def occurrence_deliver(
-    db: ConditionalDatabase, targets: Iterable[int] | None = None
-) -> dict[int, RowSet]:
-    """Fill one bucket per target attribute: the extent ANDed with its column.
-
-    ``targets`` defaults to all suffix attributes.
-    """
+def occurrence_deliver(db: ConditionalDatabase) -> dict[int, RowSet]:
+    """Fill one bucket per suffix attribute: the extent ANDed with its column."""
     extent = db.extent
     columns = db.ctx.columns
-    attrs = db.suffix_attrs if targets is None else targets
-    return {a: RowSet(extent & columns[a]) for a in attrs}
+    return {a: RowSet(extent & columns[a]) for a in db.suffix_attrs}
 
 
-def frequencies(db: ConditionalDatabase, extent: int | None = None) -> tuple[dict[int, int], int]:
-    """Weighted frequency of every live attribute (prefix and suffix) plus the extent weight.
+def frequencies(db: ConditionalDatabase, extent: int | None = None) -> tuple[list[int], int]:
+    """Weighted frequency of every live attribute, aligned with ``db.attrs``, and the extent weight.
 
-    Restricted to the ``extent`` row bitset when given; attributes that do not
-    occur there are left out.
+    Restricted to the ``extent`` row bitset when given; an attribute that does
+    not occur there counts 0.
     """
-    attrs = db.prefix_attrs + db.suffix_attrs
-    counts, weight = db.ctx.column_weights(db.extent if extent is None else extent, attrs)
-    return {a: n for a, n in zip(attrs, counts) if n}, weight
+    return db.ctx.column_weights(db.extent if extent is None else extent, db.attrs)
 
 
 def create_conditional_db(
@@ -130,7 +135,7 @@ def create_conditional_db(
     anchor: int,
     min_support: int = 0,
     *,
-    counted: tuple[dict[int, int], int] | None = None,
+    counted: tuple[list[int], int] | None = None,
 ) -> ConditionalDatabase:
     """Project ``db`` onto an extent for recursion below ``anchor``.
 
@@ -140,16 +145,8 @@ def create_conditional_db(
     """
     counts, extent_weight = counted if counted is not None else frequencies(db, extent)
     threshold = max(1, min_support)
-    kept = [a for a in sorted(counts) if threshold <= counts[a] < extent_weight]
-    split = bisect_left(kept, anchor)
-    return ConditionalDatabase(
-        ctx=db.ctx,
-        anchor=anchor,
-        prefix_attrs=tuple(kept[:split]),
-        suffix_attrs=tuple(kept[split:]),
-        extent=RowSet(extent),
-        extent_weight=extent_weight,
-    )
+    attrs = tuple(a for a, n in zip(db.attrs, counts) if threshold <= n < extent_weight)
+    return ConditionalDatabase(db.ctx, anchor, attrs, RowSet(extent), extent_weight)
 
 
 class PruneRuleStore:
@@ -212,14 +209,7 @@ class PruneRuleStore:
 def root_database(ctx: FormalContext) -> ConditionalDatabase:
     """Wrap a context as the anchor-0 conditional database over all of its rows."""
     live = tuple(a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] > 0)
-    return ConditionalDatabase(
-        ctx=ctx,
-        anchor=0,
-        prefix_attrs=(),
-        suffix_attrs=live,
-        extent=RowSet((1 << ctx.num_objects) - 1),
-        extent_weight=ctx.total_weight,
-    )
+    return ConditionalDatabase(ctx, 0, live, RowSet((1 << ctx.num_objects) - 1), ctx.total_weight)
 
 
 class _Runner:
@@ -228,7 +218,9 @@ class _Runner:
     A node frame runs each child's entry step - the call count, the rules
     retired by its anchor, the canonicity test - before it yields the child's
     frame, so that the rule store holds a failed child's rule before the next
-    sibling is tried.  ``dense_width`` 0 never engages the FP-trees (LCM2).
+    sibling is tried.  Without ``pruning`` no rule is recorded, so the store
+    stays empty.  Intents are attribute bitmasks.  ``dense_width`` 0 never
+    engages the FP-trees (LCM2).
     """
 
     def __init__(
@@ -236,7 +228,7 @@ class _Runner:
         ctx: FormalContext,
         min_support: int,
         dense_width: int | float,
-        rules: PruneRuleStore | None,
+        pruning: bool,
         stats: EnumerationStats,
         with_extents: bool,
         check_pruning: bool,
@@ -246,7 +238,8 @@ class _Runner:
         self.min_support = min_support
         self.min_weight = max(1, min_support)
         self.dense_width = dense_width
-        self.rules = rules
+        self.pruning = pruning
+        self.rules = PruneRuleStore()
         self.stats = stats
         self.with_extents = with_extents
         self.check_pruning = check_pruning
@@ -262,9 +255,8 @@ class _Runner:
         # cannot fail the canonicity test.
         st.recursive_calls += 1
         st.closure_computations += 1
-        yield from depth_first(self._node(db, db.extent, (), 0))
-        if self.rules is not None:
-            assert len(self.rules) == 0, "rule store not empty after the root call"
+        yield from depth_first(self._node(db, db.extent, 0, 0))
+        assert len(self.rules) == 0, "rule store not empty after the root call"
         if self.min_support == 0 and ctx.num_attributes > 0:
             n = ctx.num_attributes
             if not any(len(row) == n for row in ctx.rows):
@@ -274,13 +266,15 @@ class _Runner:
                 st.concepts_emitted += 1
                 yield Concept(tuple(range(1, n + 1)), 0, () if self.with_extents else None)
 
-    def _node(self, db: ConditionalDatabase, extent, closed: tuple[int, ...], anchor: int):
-        """The frame of a node that passed its canonicity test: emit it, then its children."""
+    def _node(self, db: ConditionalDatabase, extent, closed: int, anchor: int):
+        """The frame of a node that passed its canonicity test: emit it, then its children.
+
+        ``closed`` is the parent's intent; the attributes of ``db`` that cover
+        ``extent``, the anchor among them, complete it.
+        """
         st = self.stats
         counts, extent_weight = frequencies(db, extent)
-        closed = _merge_into(
-            closed, (a for a in db.suffix_attrs if a > anchor and counts.get(a) == extent_weight)
-        )
+        closed |= mask_of(a for a, n in zip(db.attrs, counts) if n == extent_weight)
         st.concepts_emitted += 1
         yield self._emit(closed, extent_weight, extent)
 
@@ -291,7 +285,7 @@ class _Runner:
         del counts  # a frame lives as long as its subtree: keep only what the children need
         if not child_db.suffix_attrs:
             return
-        if len(child_db.suffix_attrs) + len(child_db.prefix_attrs) <= self.dense_width:
+        if len(child_db.attrs) <= self.dense_width:
             yield self._tree_root(child_db, closed)
             return
         # Taken from the end, largest attribute first: a popped list shrinks,
@@ -299,43 +293,39 @@ class _Runner:
         buckets = list(occurrence_deliver(child_db).items())
         if self.node_inspector is not None:
             weight_of = self.ctx.weight_of
-            self.node_inspector(closed, {a: weight_of(rows) for a, rows in buckets})
+            self.node_inspector(ids_of(closed), {a: weight_of(rows) for a, rows in buckets})
         columns = self.ctx.columns
         rules = self.rules
-        if rules is not None:
-            rules.push_frame()
+        rules.push_frame()
         while buckets:
             a, child = buckets.pop()
-            if rules is not None and rules.should_skip(a):
+            if rules.should_skip(a):
                 st.pruning_rule_hits += 1
                 if self.check_pruning:
                     self._assert_skip_sound(closed, a)
                 continue
             st.recursive_calls += 1
             st.closure_computations += 1
-            if rules is not None:
-                rules.remove_rules_by_right_side(a)
+            rules.remove_rules_by_right_side(a)
             # Canonicity: ``b`` stops at the smallest live attribute below ``a``
             # whose column covers the child extent, else at ``a`` itself.
-            # Chained, not concatenated: a copy per child is quadratic on wide rows.
-            for b in chain(child_db.prefix_attrs, child_db.suffix_attrs):
+            for b in child_db.attrs:
                 if b >= a or columns[b] & child == child:
                     break
             if b < a:
                 st.canonicity_failures += 1
-                if rules is not None:
+                if self.pruning:
                     rules.record_failure(a, b)
             else:
-                yield self._node(child_db, child, _merge_into(closed, (a,)), a)
-        if rules is not None:
-            rules.pop_frame()
+                yield self._node(child_db, child, closed, a)
+        rules.pop_frame()
 
-    def _tree_root(self, db: ConditionalDatabase, closed: tuple[int, ...]):
+    def _tree_root(self, db: ConditionalDatabase, closed: int):
         """The frame that mines ``db``'s subtree on a complete FP-tree of its extent."""
         suffix_mask = mask_of(db.suffix_attrs)
         prefix_mask = mask_of(db.prefix_attrs)
         live_mask = suffix_mask | prefix_mask
-        width = db.suffix_attrs[-1]
+        width = db.attrs[-1]
         tree = CompleteFpTree(width, path_mask=suffix_mask)
         lists = tree.lists
         row_masks = self.ctx.row_masks
@@ -353,26 +343,25 @@ class _Runner:
                 else:
                     into[path] = (node[0] + weights[x], node[1] & mask)
         tree._extend(width)
-        return self._tree(tree, db.extent, 0, closed, suffix_mask, prefix_mask)
+        return self._tree(tree, db.extent, closed, suffix_mask, prefix_mask)
 
     def _tree(
         self,
         tree: CompleteFpTree,
         extent: int,
-        found: int,
-        closed: tuple[int, ...],
+        closed: int,
         suffix_mask: int,
         prefix_mask: int,
     ):
-        # ``extent`` is the row bitset of the node; every list of ``tree`` is
-        # frequent within it and outside its closure ``found``.
+        # ``extent`` is the row bitset of the node and ``closed`` its intent;
+        # every list of ``tree`` is frequent within the extent and outside the
+        # intent.  The intent's attributes from above the engagement are full
+        # in its extent, so none is live there: within the live attributes,
+        # ``closed`` holds only what this subtree closed.
         st = self.stats
         columns = self.ctx.columns
         if self.node_inspector is not None:
-            self.node_inspector(
-                _merge_into(closed, ids_of(found & suffix_mask)),
-                {a: tree.totals[a] for a in sorted(tree.lists)},
-            )
+            self.node_inspector(ids_of(closed), {a: tree.totals[a] for a in sorted(tree.lists)})
         for attr in sorted(tree.lists):
             st.recursive_calls += 1
             st.closure_computations += 1
@@ -380,13 +369,13 @@ class _Runner:
             # Violators: prefix attributes of the engagement database, or live
             # attributes above this one that the closure pulled in unasked.
             above = suffix_mask & ~((1 << attr) - 1)
-            if inter & ~found & (prefix_mask | above):
+            if inter & ~closed & (prefix_mask | above):
                 st.canonicity_failures += 1
                 continue
-            new_found = inter & suffix_mask
+            child_closed = closed | inter
             child = extent & columns[attr]
             st.concepts_emitted += 1
-            yield self._emit(_merge_into(closed, ids_of(new_found)), tree.totals[attr], child)
+            yield self._emit(child_closed, tree.totals[attr], child)
             # Count the candidates on the columns, so that the conditional tree
             # is built from the frequent attributes outside the closure only;
             # with no candidate the tree is empty and nothing is counted.
@@ -399,28 +388,21 @@ class _Runner:
             sub = fptree.conditional_fptree(tree, attr, keep=keep)
             st.conditional_dbs_built += 1
             if sub.lists:
-                yield self._tree(sub, child, new_found, closed, suffix_mask, prefix_mask)
+                yield self._tree(sub, child, child_closed, suffix_mask, prefix_mask)
 
-    def _emit(self, closed: tuple[int, ...], weight: int, extent: int) -> Concept:
+    def _emit(self, closed: int, weight: int, extent: int) -> Concept:
         """A Concept with the row ids of ``extent`` when asked."""
         extent_ids = tuple(set_bits(extent)) if self.with_extents else None
-        return Concept(closed, weight, extent_ids)
+        return Concept(ids_of(closed), weight, extent_ids)
 
-    def _assert_skip_sound(self, closed: tuple[int, ...], attr: int) -> None:
-        result = closure(self.ctx, closed + (attr,))
-        in_closed = set(closed)
-        if not any(a < attr and a not in in_closed for a in result):
+    def _assert_skip_sound(self, closed: int, attr: int) -> None:
+        intent = ids_of(closed)
+        result = closure(self.ctx, intent + (attr,))
+        if not any(a < attr and not closed >> (a - 1) & 1 for a in result):
             raise PruningSoundnessError(
-                f"rule store skipped attribute {attr} under {closed}, "
+                f"rule store skipped attribute {attr} under {intent}, "
                 f"but its closure {result} passes the canonicity test"
             )
-
-
-def _merge_into(closed: tuple[int, ...], extra: Iterable[int]) -> tuple[int, ...]:
-    extra = tuple(extra)
-    if not extra:
-        return closed
-    return tuple(sorted(closed + extra))
 
 
 def lcm2_enumerate(
@@ -480,9 +462,8 @@ def lcm3_enumerate(
             raise ConfigurationError(
                 f"dense_width {dense_width} exceeds the bit-array capacity {MAX_DENSE_WIDTH}"
             )
-    rules = PruneRuleStore() if pruning else None
     stats = stats if stats is not None else EnumerationStats()
     runner = _Runner(
-        ctx, min_support, dense_width, rules, stats, with_extents, check_pruning, node_inspector
+        ctx, min_support, dense_width, pruning, stats, with_extents, check_pruning, node_inspector
     )
     return runner.run()

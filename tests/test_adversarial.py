@@ -167,3 +167,13 @@ def test_staircase_lcm3_not_asymptotically_worse_than_cbo(dense_width):
     cbo_s = best_time(ctx, "cbo")
     lcm3_s = best_time(ctx, "lcm3", dense_width=dense_width)
     assert lcm3_s <= 5 * cbo_s + 0.5, (lcm3_s, cbo_s)
+
+
+def test_contranominal_lcm_not_asymptotically_worse_than_cbo():
+    # No canonicity failure, no rule hit and no dropped attribute: every LCM
+    # feature is pure cost on this family.
+    ctx = contranominal(14)
+    cbo_s = best_time(ctx, "cbo")
+    for algorithm in ("lcm2", "lcm3"):
+        engine_s = best_time(ctx, algorithm)
+        assert engine_s <= 3 * cbo_s + 0.25, (algorithm, engine_s, cbo_s)

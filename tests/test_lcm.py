@@ -35,7 +35,7 @@ def test_occurrence_deliver_k1_root():
     # Root node after closing {3}: live children are 1, 2, 4.
     root = k1_root_db()
     db = create_conditional_db(root, root.extent, 0)
-    buckets = occurrence_deliver(db, [1, 2, 4])
+    buckets = occurrence_deliver(db)
     weight_of = db.ctx.weight_of
     assert members(buckets[1]) == [0, 1] and weight_of(buckets[1]) == 2
     assert members(buckets[2]) == [0, 2] and weight_of(buckets[2]) == 2
@@ -43,29 +43,22 @@ def test_occurrence_deliver_k1_root():
     assert len(buckets[4]) == 1  # a bucket's len() is its row count
 
 
-def test_occurrence_deliver_no_targets():
-    buckets = occurrence_deliver(k1_root_db(), [])
-    assert buckets == {}
-
-
 def test_occurrence_deliver_single_row():
     db = root_database(FormalContext([[1, 2]]))
-    buckets = occurrence_deliver(db, [1, 2])
+    buckets = occurrence_deliver(db)
     assert members(buckets[1]) == members(buckets[2]) == [0]
 
 
 def test_occurrence_deliver_weighted_rows():
     db = root_database(FormalContext([[1, 2], [1], [2]], weights=[3, 5, 6]))
     buckets = occurrence_deliver(db)
-    assert sorted(buckets) == [1, 2]  # every suffix attribute by default
+    assert sorted(buckets) == [1, 2]  # one bucket per suffix attribute
     assert members(buckets[1]) == [0, 1] and db.ctx.weight_of(buckets[1]) == 8
     assert members(buckets[2]) == [0, 2] and db.ctx.weight_of(buckets[2]) == 9
 
 
 def test_frequencies_k1_root():
-    counts, weight = frequencies(k1_root_db())
-    assert counts == {1: 2, 2: 2, 3: 4, 4: 1}
-    assert weight == 4
+    assert frequencies(k1_root_db()) == ([2, 2, 4, 1], 4)
 
 
 def test_frequencies_counts_interior_intersections():
@@ -74,17 +67,15 @@ def test_frequencies_counts_interior_intersections():
     # row-merging database, and are counted like the suffix ones.
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
     db = create_conditional_db(base, base.extent, 3)
-    counts, weight = frequencies(db)
-    assert counts == {5: 1, 1: 2, 2: 2}
-    assert weight == 3
-    assert frequencies(db, RowSet(0b110)) == ({1: 1, 2: 2, 5: 1}, 2)
+    assert db.attrs == (1, 2, 5)
+    assert frequencies(db) == ([2, 2, 1], 3)
+    assert frequencies(db, RowSet(0b110)) == ([1, 2, 1], 2)
+    assert frequencies(db, RowSet(0b010)) == ([0, 1, 0], 1)  # zeros stay aligned
 
 
 def test_frequencies_empty_db():
     db = root_database(FormalContext([], num_attributes=0))
-    counts, weight = frequencies(db)
-    assert counts == {}
-    assert weight == 0
+    assert frequencies(db) == ([], 0)
 
 
 def test_create_conditional_db_steps():
@@ -96,6 +87,18 @@ def test_create_conditional_db_steps():
     assert members(db.extent) == [0, 1, 2] and db.num_rows == 3
     assert db.extent_weight == 3
     db.validate()
+
+
+def test_conditional_database_validate_checks_the_order_and_the_split():
+    base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
+    db = create_conditional_db(base, base.extent, 3)
+    assert (db.attrs, db.split) == ((1, 2, 5), 2)
+    db.attrs = (2, 1, 5)
+    with pytest.raises(AssertionError, match="ascending"):
+        db.validate()
+    db.attrs, db.split = (1, 2, 5), 1
+    with pytest.raises(AssertionError):
+        db.validate()
 
 
 def test_create_conditional_db_drops_infrequent():
@@ -299,17 +302,18 @@ def test_lcm2_interior_intersection_canonicity():
         pre, _, _ = preprocess(ctx, 1)
         db = root_database(pre)
         counts, weight = frequencies(db)
-        live = sorted(a for a in counts if counts[a] < weight)
+        live = [a for a, n in zip(db.attrs, counts) if 0 < n < weight]
         if len(live) < 2:
             continue
         anchor = live[len(live) // 2]
         child = create_conditional_db(db, db.extent, anchor)
         for extent_attr in child.suffix_attrs:
-            rows = occurrence_deliver(child, [extent_attr])[extent_attr]
+            rows = occurrence_deliver(child)[extent_attr]
             sub_counts, sub_weight = frequencies(child, rows)
+            sub_counts = dict(zip(child.attrs, sub_counts))
             closed = closure(pre, (extent_attr,))
             for p in child.prefix_attrs:
-                assert (sub_counts.get(p, 0) == sub_weight) == (p in closed)
+                assert (sub_counts[p] == sub_weight) == (p in closed)
                 assert (pre.columns[p] & rows == rows) == (p in closed)
 
 
