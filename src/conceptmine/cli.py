@@ -87,11 +87,7 @@ def _generate_from_args(args) -> FormalContext:
     return generate_context(args.seed, args.objects, args.attributes, args.density)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="conceptmine", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    mine = sub.add_parser("mine", help="enumerate frequent closed itemsets of a dataset")
+def _mine_arguments(mine: _Parser) -> None:
     mine.add_argument("input", help="input file, or - for standard input")
     mine.add_argument("--format", choices=("fimi", "cxt"), default="fimi")
     mine.add_argument("--algorithm", choices=ALGORITHMS, default="lcm2")
@@ -114,14 +110,16 @@ def _build_parser() -> _Parser:
     mine.add_argument("--output", "-o", default=None, help="output file (default stdout)")
     mine.add_argument("--stats", default=None, help="write run statistics as JSON to this file")
 
-    gen = sub.add_parser("gen", help="generate a random context in FIMI format")
+
+def _gen_arguments(gen: _Parser) -> None:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--objects", type=int, required=True)
     gen.add_argument("--attributes", type=int, required=True)
     gen.add_argument("--density", type=float, required=True)
     gen.add_argument("--output", "-o", default=None)
 
-    bench = sub.add_parser("bench", help="time several engines on one dataset and compare outputs")
+
+def _bench_arguments(bench: _Parser) -> None:
     bench.add_argument("input", nargs="?", default=None, help="input file (FIMI); omit to generate")
     bench.add_argument("--format", choices=("fimi", "cxt"), default="fimi")
     bench.add_argument("--algorithms", default="cbo,lcm2", help="comma-separated engine list")
@@ -133,6 +131,30 @@ def _build_parser() -> _Parser:
     bench.add_argument("--objects", type=int, default=None)
     bench.add_argument("--attributes", type=int, default=None)
     bench.add_argument("--density", type=float, default=None)
+
+
+_COMMANDS = {
+    "mine": ("enumerate frequent closed itemsets of a dataset", _mine_arguments),
+    "gen": ("generate a random context in FIMI format", _gen_arguments),
+    "bench": ("time several engines on one dataset and compare outputs", _bench_arguments),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser for a command line that starts with ``command``.
+
+    A known command gets its own subparser only; for anything else every
+    command is listed, with its summary but no arguments, for the top-level
+    help and the usage error.
+    """
+    parser = _Parser(prog="conceptmine", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        summary, add_arguments = _COMMANDS[command]
+        add_arguments(sub.add_parser(command, help=summary))
+    else:
+        for name, (summary, _) in _COMMANDS.items():
+            sub.add_parser(name, help=summary)
     return parser
 
 
@@ -196,10 +218,10 @@ def _load_context(path: str, fmt: str):
 def _format_concept(c, with_extents: bool) -> str:
     line = " ".join([*map(str, c.intent), f"({c.support})"])
     if with_extents:
-        # The tuple's repr converts ids to digits in C and frees each digit
-        # string at once; a join would hold all of them (60,000 for a root).
-        ids = repr(tuple(c.extent))[1:-1].replace(",", "")
-        line = (line + " / " + ids).rstrip()
+        # One format pass in C: no string per id is kept (a join would hold
+        # 60,000 of them for a root), and an empty extent leaves "... (0) /".
+        ids = tuple(c.extent)
+        line += " /" + (" %d" * len(ids)) % ids
     return line
 
 
@@ -352,7 +374,9 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "mine":

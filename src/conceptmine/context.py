@@ -7,11 +7,18 @@ it stands for.  The vertical view - one row bitset per attribute column plus
 the weight bit-planes - is built on first use and gives the exact weighted
 size of any row set by popcounts.  Contexts are treated as immutable after
 construction, so any number of enumeration runs may share one.
+
+Ingest costs the distinct rows, not the objects: the FIMI parser counts its
+lines once, parses each distinct line once, and makes each distinct id set
+one list that all its lines share as their row; the cardinalities come from
+the line multiplicities.  Preprocessing maps each distinct row once and
+fills the merged groups in one pass over the objects.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain
@@ -26,7 +33,8 @@ class FormalContext:
     Invariants: every row is strictly ascending with ids in 1..num_attributes,
     every weight is an int >= 1, and ``attr_cardinality[y]`` is the weighted
     number of rows containing ``y`` (index 0 is unused padding).  Equal rows
-    share one list object, so rows must not be modified in place.
+    share one list object, so rows must not be modified in place, and
+    ``distinct_rows`` holds each row object once, in order of first occurrence.
     """
 
     def __init__(
@@ -38,48 +46,85 @@ class FormalContext:
         attr_names: Sequence[str] | None = None,
     ):
         # Equal input rows normalise to one shared list, so the id checks and the
-        # cardinality count below run once per distinct row.
+        # cardinality count run once per distinct row.
         distinct: dict[tuple, list[int]] = {}
-        self.rows: list[list[int]] = []
+        shared: list[list[int]] = []
         for row in rows:
             key = tuple(row)
             normal = distinct.get(key)
             if normal is None:
                 normal = distinct[key] = sorted(set(key))
-            self.rows.append(normal)
+            shared.append(normal)
         if weights is None:
-            self.weights = [1] * len(self.rows)
+            weights = [1] * len(shared)
         else:
             # Weights index the weight bit-planes: integers only, numpy's stored as int.
             try:
-                self.weights = list(map(operator.index, weights))
+                weights = list(map(operator.index, weights))
             except TypeError:
                 raise ValueError("row weights must be integers") from None
-            if len(self.weights) != len(self.rows):
+            if len(weights) != len(shared):
                 raise ValueError("weights and rows differ in length")
-        highest = max((row[-1] for row in distinct.values() if row), default=0)
+            if weights and min(weights) < 1:
+                raise ValueError("row weights must be positive")
+        summed: dict[int, int] = {}  # id of a row in ``distinct`` -> its total weight
+        for row, w in zip(shared, weights):
+            summed[id(row)] = summed.get(id(row), 0) + w
+        unique = list(distinct.values())
+        totals = [summed[id(row)] for row in unique]
+        self._store(shared, weights, unique, totals, num_attributes, object_names, attr_names)
+
+    @classmethod
+    def _of_normal_rows(
+        cls,
+        rows: list[list[int]],
+        weights: list[int],
+        distinct_rows: list[list[int]],
+        distinct_weights: Iterable[int],
+        num_attributes: int,
+    ) -> "FormalContext":
+        """A context that keeps ``rows`` and ``weights`` as they are, without a copy.
+
+        The rows must be normal already: strictly ascending, equal rows one
+        shared list, and ``distinct_rows`` each row object once, in order of
+        first occurrence, with the total weight of its objects aligned in
+        ``distinct_weights``; the weights must be positive ints.  The checks
+        and the cardinality count then need no pass over the objects.
+        """
+        ctx = cls.__new__(cls)
+        ctx._store(rows, weights, distinct_rows, distinct_weights, num_attributes, None, None)
+        return ctx
+
+    def _store(
+        self,
+        rows: list[list[int]],
+        weights: list[int],
+        distinct_rows: list[list[int]],
+        distinct_weights: Iterable[int],
+        num_attributes: int | None,
+        object_names: Sequence[str] | None,
+        attr_names: Sequence[str] | None,
+    ) -> None:
+        """Check the distinct rows, count the cardinalities from them, and set every field."""
+        highest = max((row[-1] for row in distinct_rows if row), default=0)
         if num_attributes is None:
             num_attributes = highest
         elif highest > num_attributes:
             raise ValueError(f"attribute id {highest} exceeds declared count {num_attributes}")
-        self.num_attributes = num_attributes
-        self.object_names = list(object_names) if object_names is not None else None
-        self.attr_names = list(attr_names) if attr_names is not None else None
-
-        lowest = min((row[0] for row in distinct.values() if row), default=1)
+        lowest = min((row[0] for row in distinct_rows if row), default=1)
         if lowest < 1:
             raise ValueError(f"attribute id {lowest} out of range (ids start at 1)")
-        summed: dict[int, int] = {}  # id of a row in ``distinct`` -> its total weight
-        for row, w in zip(self.rows, self.weights):
-            if w < 1:
-                raise ValueError("row weights must be positive")
-            summed[id(row)] = summed.get(id(row), 0) + w
         card = [0] * (num_attributes + 1)
-        for row in distinct.values():
-            w = summed[id(row)]
+        for row, w in zip(distinct_rows, distinct_weights):
             for a in row:
                 card[a] += w
+        self.rows: list[list[int]] = rows
+        self.weights: list[int] = weights
+        self.distinct_rows: list[list[int]] = distinct_rows
+        self.num_attributes = num_attributes
         self.attr_cardinality = card
+        self.object_names = list(object_names) if object_names is not None else None
+        self.attr_names = list(attr_names) if attr_names is not None else None
 
     @property
     def num_objects(self) -> int:
@@ -149,6 +194,7 @@ class FormalContext:
             for a in row:
                 card[a] += w
         assert card == self.attr_cardinality, "stored cardinalities disagree with rescan"
+        assert list(map(id, self.distinct_rows)) == list(dict.fromkeys(map(id, self.rows)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FormalContext({self.num_objects} objects, {self.num_attributes} attributes)"
@@ -271,28 +317,53 @@ def _item_id(token: str) -> int:
     raise ParseError(f"expected an integer item id, got {token!r}")
 
 
+def _item_ids(line: str, known: dict[int, int]) -> tuple[int, ...]:
+    """The ascending distinct ids of one FIMI line, each added to ``known``.
+
+    An id already in ``known`` is returned as the int object stored there, so
+    that lines share their ids instead of holding one int object per token.
+    """
+    ids = {_item_id(token) for token in line.split()}
+    return tuple(sorted(map(known.setdefault, ids, ids)))
+
+
 def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
     """Parse a FIMI transaction file: one whitespace-separated id list per line.
 
     Lines end at ``\n`` (a trailing ``\r`` is dropped) and item ids are ASCII
     decimal numbers.  Blank lines are empty rows.  Duplicate ids within a line
     are collapsed.  Observed ids are renumbered densely (ascending) to 1..k;
-    the remap records the original ids.  Each distinct line is parsed, and
-    each distinct id set renumbered, once; equal rows share one list.  The
-    source is decoded text; the command line decodes its input as UTF-8.
+    the remap records the original ids.  Each distinct line is parsed once,
+    and each distinct id set renumbered once into the one list that every
+    line of that set shares as its row; the cardinalities come from the
+    line multiplicities, counted once.  The source is decoded text; the
+    command line decodes its input as UTF-8.
     """
     lines = _lines(source)
+    multiplicity = Counter(lines)  # distinct lines in order of first occurrence
+    known: dict[int, int] = {}  # every id seen, to itself
     parsed: dict[str, tuple[int, ...]] = {}  # line text -> ascending distinct ids
-    for line in dict.fromkeys(lines):  # distinct lines in order of first occurrence
+    for line in multiplicity:
         try:
-            parsed[line] = tuple(sorted({_item_id(token) for token in line.split()}))
+            parsed[line] = _item_ids(line, known)
         except ParseError as exc:
             raise ParseError(str(exc), lines.index(line) + 1) from None
-    ordered = sorted(set().union(*parsed.values()))
+    ordered = sorted(known)
     old_to_new = {old: new for new, old in enumerate(ordered, start=1)}
-    renumbered = {raw: [old_to_new[a] for a in raw] for raw in set(parsed.values())}
-    row_of = {line: renumbered[raw] for line, raw in parsed.items()}
-    ctx = FormalContext(list(map(row_of.__getitem__, lines)), num_attributes=len(ordered))
+    tallies: dict[tuple[int, ...], list] = {}  # id set -> [its row, number of its lines]
+    row_of: dict[str, list[int]] = {}  # line text -> its row
+    for line, raw in parsed.items():
+        tally = tallies.get(raw)
+        if tally is None:
+            row = list(raw)  # sized exactly, where a list built by appends is over-allocated
+            row[:] = map(old_to_new.__getitem__, row)
+            tally = tallies[raw] = [row, 0]
+        tally[1] += multiplicity[line]
+        row_of[line] = tally[0]
+    rows = list(map(row_of.__getitem__, lines))
+    distinct = [row for row, _ in tallies.values()]
+    counts = [count for _, count in tallies.values()]
+    ctx = FormalContext._of_normal_rows(rows, [1] * len(rows), distinct, counts, len(ordered))
     return ctx, AttributeRemap(tuple(ordered), old_to_new)
 
 
@@ -397,35 +468,42 @@ def preprocess(
     old_to_new = {old: new for new, old in enumerate(retained, start=1)}
     remap = AttributeRemap(tuple(retained), old_to_new)
 
-    # One pass over the objects.  Each distinct row is mapped once and gets
-    # the slot of its mapped row (a fresh slot per object without merging).
-    # ``seen`` holds every row it keys by id.
-    seen: dict[int, tuple[list[int], list[int], int]] = {}  # id -> (row, mapped, slot)
-    slot_of: dict[tuple[int, ...], int] = {}
+    # Each distinct row is mapped once, and gets the group of its mapped row;
+    # then one pass over the objects fills the groups.  ``ctx`` holds every
+    # row, so rows are keyed by id.  An originally empty row carries no
+    # support for any itemset: its objects go to the last group (index -1),
+    # which is dropped.
+    group_of: dict[int, int] = {}  # id of a row of ctx -> its group
+    mapped_group: dict[tuple[int, ...], int] = {}
     rows: list[list[int]] = []
-    weights: list[int] = []
-    groups: list[list[int]] = []
-    for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights)):
-        if not row:
-            continue  # originally empty rows carry no support for any itemset
-        hit = seen.get(id(row))
-        if hit is None:
-            mapped = sorted(old_to_new[a] for a in row if a in old_to_new)
-            hit = seen[id(row)] = (row, mapped, slot_of.setdefault(tuple(mapped), len(rows)))
-        _, mapped, at = hit
-        if at == len(rows) or not merge_rows:
-            at = len(rows)
-            rows.append(mapped)
-            weights.append(0)
-            groups.append([])
-        weights[at] += w
+    for row in ctx.distinct_rows:
+        at = -1
+        if row:
+            mapped = tuple(sorted(old_to_new[a] for a in row if a in old_to_new))
+            at = mapped_group.setdefault(mapped, len(rows))
+            if at == len(rows):
+                rows.append(list(mapped))
+        group_of[id(row)] = at
+    groups: list[list[int]] = [[] for _ in range(len(rows) + 1)]
+    for x, at in enumerate(map(group_of.__getitem__, map(id, ctx.rows))):
         groups[at].append(x)
+    groups.pop()
+    if merge_rows:
+        weights = [sum(map(ctx.weights.__getitem__, group)) for group in groups]
+    else:  # one group per object, in object order
+        owners = sorted((x, at) for at, group in enumerate(groups) for x in group)
+        rows = [rows[at] for _, at in owners]
+        weights = [ctx.weights[x] for x, _ in owners]
+        groups = [[x] for x, _ in owners]
 
     # Heaviest rows first (stably): the weight bit-planes above plane 0 then
     # span only the low row bits, which keeps weighted popcounts cheap.
     order = sorted(range(len(rows)), key=lambda r: -weights[r])
-    new_ctx = FormalContext(
-        [rows[r] for r in order], [weights[r] for r in order], num_attributes=len(retained)
-    )
+    rows = [rows[r] for r in order]
+    weights = [weights[r] for r in order]
+    if merge_rows:
+        new_ctx = FormalContext._of_normal_rows(rows, weights, rows, weights, len(retained))
+    else:
+        new_ctx = FormalContext(rows, weights, num_attributes=len(retained))
     merge = ObjectMerge(tuple(tuple(groups[r]) for r in order))
     return new_ctx, remap, merge

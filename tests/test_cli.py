@@ -79,6 +79,31 @@ def test_support_ratio_is_exact_on_the_decimal_ratio():
             assert _resolve_support(args, total) == expected, (ratio, total)
 
 
+@pytest.mark.parametrize(
+    "argv, listed",
+    [
+        (["--help"], ["mine", "gen", "bench", "enumerate frequent closed itemsets"]),
+        (["mine", "--help"], ["--min-support-ratio", "--with-extents", "--stats"]),
+        (["gen", "--help"], ["--seed", "--objects", "--attributes", "--density", "--output"]),
+        (["bench", "--help"], ["--algorithms", "--repeats", "--dense-width", "--density"]),
+    ],
+)
+def test_help_lists_commands_and_their_options(capsys, argv, listed):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert all(word in out for word in listed), out
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["mine"], ["frob"], ["--bogus"], ["gen", "--seed", "1"], ["mine", "x", "--bogus"]]
+)
+def test_usage_errors_exit_3(capsys, argv):
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("conceptmine: ")
+
+
 def test_mine_empty_input(tmp_path, capsys):
     data = tmp_path / "empty.dat"
     data.write_text("")
@@ -342,6 +367,32 @@ def test_format_concept_lines():
         assert line == f"3 ({len(extent)}) / " + " ".join(map(str, extent))
 
 
+def _repr_formatted(c, with_extents):
+    """A concept's line as an earlier, repr-based formatter wrote it."""
+    line = " ".join([*map(str, c.intent), f"({c.support})"])
+    if with_extents:
+        ids = repr(tuple(c.extent))[1:-1].replace(",", "")
+        line = (line + " / " + ids).rstrip()
+    return line
+
+
+def test_format_concept_bytes_match_the_repr_formula():
+    from conceptmine.cli import _format_concept
+    from conceptmine.derive import Concept
+
+    concepts = [
+        Concept((1, 20), 0, ()),  # an empty extent
+        Concept((), 5, (0, 1, 2, 3, 9)),  # an empty intent
+        Concept((), 0, ()),
+        Concept((4,), 1, (7,)),  # a single id
+        Concept((2, 3, 1_000_000), 60_000, tuple(range(0, 120_000, 2))),  # 60,000 ids
+    ]
+    for c in concepts:
+        for with_extents in (False, True):
+            got = _format_concept(c, with_extents).encode()
+            assert got == _repr_formatted(c, with_extents).encode(), (c.intent, with_extents)
+
+
 def test_bench_csv(tmp_path, capsys):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
@@ -526,7 +577,10 @@ def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
     data.write_text(K1_TEXT)
     spans = tmp_path / "spans.json"
     args = ["mine", str(data), "--algorithm", algorithm]
-    layers = {"mining.engine", "lcm.frequencies", "lcm.cond_db", "lcm.deliver"}
+    layers = {
+        "context.parse", "context.preprocess", "mining.mine_concepts", "mining.engine",
+        "lcm.frequencies", "lcm.cond_db", "lcm.deliver",
+    }
     if algorithm == "lcm3":
         args += ["--dense-width", "2"]
         layers.add("fptree.cond_tree")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -167,6 +168,68 @@ def test_parse_fimi_duplicate_heavy_matches_line_by_line_reference(seed):
             )
             got = {(c.intent, c.support, c.extent) for c in mined}
             assert got == want, (algorithm, options, s)
+
+
+def _written_differently(seed: int) -> tuple[str, list[list[int]]]:
+    """Duplicate-heavy FIMI text in which equal id sets are written differently.
+
+    Lines repeat a few id sets in shuffled token order, with repeated ids,
+    runs of spaces and tabs, ``\r\n`` or ``\n`` endings, and blank lines.
+    Returns the text and the ids of each line as written.
+    """
+    rng = random.Random(seed)
+    patterns = [rng.sample([3, 7, 11, 400, 1000, 65536], rng.randint(1, 4)) for _ in range(5)]
+    text, written = [], []
+    for _ in range(400):
+        ids = [] if rng.random() < 0.1 else list(rng.choice(patterns))
+        ids += rng.sample(ids, min(len(ids), rng.randint(0, 2)))  # repeated ids
+        rng.shuffle(ids)
+        line = "".join(rng.choice([" ", "  ", "\t", " \t "]) + str(a) for a in ids)
+        text.append(line + rng.choice(["", " ", "  "]) + rng.choice(["\n", "\r\n"]))
+        written.append(ids)
+    return "".join(text), written
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parse_fimi_equals_the_context_of_its_id_lists(seed):
+    text, written = _written_differently(seed)
+    ctx, remap = parse_fimi(text)
+    want = FormalContext([[remap.old_to_new[a] for a in ids] for ids in written])
+    assert ctx.rows == want.rows
+    assert ctx.weights == want.weights
+    assert ctx.attr_cardinality == want.attr_cardinality
+    assert ctx.num_attributes == want.num_attributes == len(remap.new_to_old)
+    ctx.validate()
+    # Equal rows share one list, however their lines were written.
+    assert len({id(row) for row in ctx.rows}) == len({tuple(row) for row in ctx.rows})
+    assert len(ctx.distinct_rows) == len({tuple(row) for row in ctx.rows})
+
+    for s in (0, 1, 30, 120, 10_000):
+        for sort_attributes in (True, False):
+            for merge_rows in (True, False):
+                options = (sort_attributes, merge_rows)
+                pre, _, merge = preprocess(
+                    ctx, s, sort_attributes=sort_attributes, merge_rows=merge_rows
+                )
+                want = _reference_preprocess(ctx, s, *options)
+                assert (pre.rows, pre.weights, list(merge.groups)) == want, (s, options)
+                pre.validate()
+
+
+def test_parse_fimi_peak_memory_stays_near_the_text_size():
+    # The 1,200-row staircase: 720,600 ids in 2.78 MB of text.  Each distinct
+    # line becomes one shared list of shared ids; holding every line again as
+    # a tuple of fresh ints, or normalising the rows a second time, would
+    # take the peak past the bound.
+    text = "".join(" ".join(map(str, range(1, i + 1))) + "\n" for i in range(1, 1201))
+    tracemalloc.start()
+    try:
+        ctx, _ = parse_fimi(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.num_objects == ctx.num_attributes == 1200
+    assert peak < 8 * len(text), (peak, len(text))
 
 
 CXT_MINIMAL = "B\n\n1\n1\n\nobj\nattr\nX\n"
