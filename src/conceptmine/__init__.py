@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fptree import (
     CompleteFpTree,
-    FpNode,
     build_complete_fptree,
     conditional_fptree,
     intent_of_list,
@@ -52,7 +51,6 @@ __all__ = [
     "DigestMismatchError",
     "EnumerationStats",
     "FormalContext",
-    "FpNode",
     "ObjectMerge",
     "ObjectSet",
     "ParseError",

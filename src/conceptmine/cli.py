@@ -249,15 +249,25 @@ def _cmd_mine(args) -> int:
     wall_ms = (time.perf_counter() - started) * 1000.0
     if args.sorted:
         concepts.sort(key=lambda c: c.intent)
+    # The files are created only now, so a failed run leaves none behind.  The
+    # stats path is checked first without truncating it; if the output then
+    # fails, a stats file is removed only when this run created it.
+    stats_created = bool(args.stats) and not os.path.lexists(args.stats)
+    if args.stats:
+        open(args.stats, "a", encoding="utf-8").close()
     # One line at a time, so that no copy of the whole output is ever held.
-    # The file is opened only now, so a failed run leaves none behind.
     lines = (_format_concept(c, args.with_extents) + "\n" for c in concepts)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
-            out.writelines(lines)
-    else:
-        with _stdout() as out:
-            out.writelines(lines)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.writelines(lines)
+        else:
+            with _stdout() as out:
+                out.writelines(lines)
+    except BaseException:
+        if stats_created:
+            os.remove(args.stats)
+        raise
     if args.stats:
         import json  # here, not at module level: only --stats needs it
 

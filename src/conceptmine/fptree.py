@@ -14,8 +14,8 @@ attribute.
 
 Each list maps path bit-arrays to ``(weight, inner)`` tuples, so a tree holds
 no node objects, and the extension step takes each list's total weight and
-intersection of inners as it walks it.  :class:`FpNode` is only a view that
-:meth:`CompleteFpTree.list_nodes` builds on demand.
+intersection of inners as it walks it.  Every tree, from rows, from a list
+or from the LCM3 engine's rows, comes from the one constructor.
 
 All bit-arrays are plain Python integers (attribute k at bit k-1); equality,
 intersection and the key lookup are single int operations.  The LCM3 engine
@@ -34,24 +34,6 @@ DEFAULT_DENSE_WIDTH = 128
 MAX_DENSE_WIDTH = 1 << 16
 
 
-class FpNode:
-    __slots__ = ("path_set", "weight", "inner")
-
-    def __init__(self, path_set: int, weight: int, inner: int):
-        self.path_set = path_set
-        self.weight = weight
-        self.inner = inner
-
-    def path_attrs(self) -> tuple[int, ...]:
-        return ids_of(self.path_set)
-
-    def inner_attrs(self) -> tuple[int, ...]:
-        return ids_of(self.inner)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FpNode(path={self.path_attrs()}, weight={self.weight}, inner={self.inner_attrs()})"
-
-
 class CompleteFpTree:
     """Per-attribute node lists over a dense universe 1..width.
 
@@ -61,36 +43,37 @@ class CompleteFpTree:
     the extension step.  ``path_mask`` limits which attributes participate
     in path sets - attributes outside it (the prefix attributes of a
     conditional database, and in the engine's conditional trees the
-    infrequent and closure attributes) appear only inside inner bit-arrays.
+    infrequent and closure attributes) appear only inside inner bit-arrays;
+    it must lie within 1..width.  ``nodes`` are ``(path, (weight, inner))``
+    pairs: each path is projected onto ``path_mask``, empty ones are dropped
+    and equal ones merged (weights summed, inners intersected), then the
+    tree is extended.
     """
 
-    def __init__(self, width: int, path_mask: int | None = None):
+    def __init__(self, width: int, path_mask: int | None = None, nodes: Iterable = ()):
         self.width = width
-        self.path_mask = path_mask if path_mask is not None else (1 << width) - 1
+        self.path_mask = path_mask = (1 << width) - 1 if path_mask is None else path_mask
         self.lists: dict[int, dict[int, tuple[int, int]]] = {}
         self.totals: dict[int, int] = {}
         self.inters: dict[int, int] = {}
+        lists = self.lists
+        for path, node in nodes:
+            path &= path_mask
+            if path:
+                into = lists.get(path.bit_length())
+                if into is None:
+                    into = lists[path.bit_length()] = {}
+                above = into.get(path)
+                into[path] = node if above is None else (above[0] + node[0], above[1] & node[1])
+        self._extend()
 
     def attributes(self) -> list[int]:
         return sorted(self.lists)
 
-    def list_nodes(self, attr: int) -> list[FpNode]:
-        return [FpNode(path, *node) for path, node in self.lists.get(attr, {}).items()]
-
     def list_weight(self, attr: int) -> int:
         return self.totals.get(attr, 0)
 
-    def _push(self, path: int, weight: int, inner: int) -> None:
-        # The hot loops (``_extend``, ``conditional_fptree``, the LCM3 engine's
-        # tree root) inline this step; ``_extend`` takes the totals and intersections.
-        key = path.bit_length()  # highest set bit = least frequent attribute
-        nodes = self.lists.get(key)
-        if nodes is None:
-            nodes = self.lists[key] = {}
-        node = nodes.get(path)
-        nodes[path] = (weight, inner) if node is None else (node[0] + weight, node[1] & inner)
-
-    def _extend(self, start_key: int) -> None:
+    def _extend(self) -> None:
         # Walk the lists from the least frequent attribute upward; every node
         # spawns or merges a parent with its own key removed.  Lists exist only
         # at keys in ``path_mask`` and those created along the way have smaller
@@ -99,7 +82,7 @@ class CompleteFpTree:
         lists = self.lists
         totals = self.totals
         inters = self.inters
-        live = self.path_mask & ((1 << start_key) - 1)
+        live = self.path_mask
         while live:
             key = live.bit_length()
             bit = 1 << (key - 1)
@@ -170,11 +153,7 @@ def build_complete_fptree(
         raise ValueError("weights and rows differ in length")
     elif any(w < 1 for w in weights):
         raise ValueError("row weights must be positive")
-    tree = CompleteFpTree(width)
-    for mask, w in zip(masks, weights):
-        tree._push(mask, w, mask)
-    tree._extend(width)
-    return tree
+    return CompleteFpTree(width, nodes=zip(masks, zip(weights, masks)))
 
 
 def conditional_fptree(
@@ -192,20 +171,7 @@ def conditional_fptree(
     path_mask = tree.path_mask & ((1 << (attr - 1)) - 1)
     if keep is not None:
         path_mask &= keep
-    sub = CompleteFpTree(attr - 1, path_mask=path_mask)
-    if not path_mask:
-        return sub
-    lists = sub.lists
-    for path, node in tree.lists.get(attr, {}).items():
-        path &= path_mask
-        if path:
-            into = lists.get(path.bit_length())
-            if into is None:
-                into = lists[path.bit_length()] = {}
-            above = into.get(path)
-            into[path] = node if above is None else (above[0] + node[0], above[1] & node[1])
-    sub._extend(attr - 1)
-    return sub
+    return CompleteFpTree(attr - 1, path_mask, tree.lists.get(attr, {}).items() if path_mask else ())
 
 
 def intent_of_list(tree: CompleteFpTree, attr: int) -> tuple[tuple[int, ...], int]:

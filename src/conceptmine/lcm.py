@@ -25,8 +25,9 @@ descended into or the node is left.
 
 LCM3 runs the same traversal until a node's live attribute universe fits
 within ``dense_width``, then mines the whole subtree on complete FP-trees
-(:mod:`conceptmine.fptree`): the tree is built from the rows of the node's
-extent bitset, each row's mask cut to the live attributes; lists act as the
+(:mod:`conceptmine.fptree`): the tree's constructor takes the rows of the
+node's extent bitset, each row's mask projected onto the suffix attributes
+as its path and cut to the live attributes as its inner; lists act as the
 delivered buckets, conditional trees replace conditional databases, and
 closure and canonicity are read off each list's intersection of inners,
 which the extension step takes as it sums the list.  Inside such a subtree
@@ -325,24 +326,10 @@ class _Runner:
         suffix_mask = mask_of(db.suffix_attrs)
         prefix_mask = mask_of(db.prefix_attrs)
         live_mask = suffix_mask | prefix_mask
-        width = db.attrs[-1]
-        tree = CompleteFpTree(width, path_mask=suffix_mask)
-        lists = tree.lists
-        row_masks = self.ctx.row_masks
-        weights = self.ctx.weights
-        for x in set_bits(db.extent):
-            mask = row_masks[x]
-            path = mask & suffix_mask
-            if path:  # rows without live suffix attributes feed no deeper extent
-                into = lists.get(path.bit_length())
-                if into is None:
-                    into = lists[path.bit_length()] = {}
-                node = into.get(path)
-                if node is None:
-                    into[path] = (weights[x], mask & live_mask)
-                else:
-                    into[path] = (node[0] + weights[x], node[1] & mask)
-        tree._extend(width)
+        masks, weights = self.ctx.row_masks, self.ctx.weights
+        nodes = ((masks[x], (weights[x], masks[x] & live_mask)) for x in set_bits(db.extent))
+        # Paths are the suffix attributes: a row without one feeds no deeper extent.
+        tree = CompleteFpTree(db.attrs[-1], suffix_mask, nodes)
         return self._tree(tree, db.extent, closed, suffix_mask, prefix_mask)
 
     def _tree(

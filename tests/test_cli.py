@@ -184,6 +184,28 @@ def test_failed_mine_leaves_no_output_file(tmp_path):
     assert not target.exists()
 
 
+def test_unwritable_stats_or_output_leaves_no_file(tmp_path):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    target = tmp_path / "out.txt"
+    stats_path = tmp_path / "stats.json"
+    missing = tmp_path / "missing" / "x"
+    assert run_cli(["mine", str(data), "-o", str(target), "--stats", str(missing)]) == 1
+    assert not target.exists()
+    assert run_cli(["mine", str(data), "-o", str(missing), "--stats", str(stats_path)]) == 1
+    assert not stats_path.exists()
+
+
+def test_failed_output_keeps_existing_stats_file(tmp_path):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    stats_path = tmp_path / "run.json"
+    stats_path.write_text("earlier run\n")
+    missing = tmp_path / "missing" / "out.txt"
+    assert run_cli(["mine", str(data), "-o", str(missing), "--stats", str(stats_path)]) == 1
+    assert stats_path.read_text() == "earlier run\n"
+
+
 def test_mine_dense_width_capacity_exits_4(tmp_path):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)

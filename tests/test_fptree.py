@@ -1,9 +1,12 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
 
 from conceptmine import (
+    CompleteFpTree,
     ConfigurationError,
     EnumerationStats,
     FormalContext,
@@ -17,6 +20,7 @@ from conceptmine import (
     lcm3_enumerate,
     preprocess,
 )
+from conceptmine.bits import ids_of
 from conceptmine.cli import generate_context
 
 from conftest import K1_WORKING_CONCEPTS, concept_set, random_context
@@ -26,7 +30,7 @@ K1_DENSE = [[1, 2, 3], [1, 2], [1, 3], [1, 4]]
 
 
 def nodes_of(tree, attr):
-    return [(n.path_attrs(), n.weight, n.inner_attrs()) for n in tree.list_nodes(attr)]
+    return [(ids_of(path), w, ids_of(inner)) for path, (w, inner) in tree.lists[attr].items()]
 
 
 def test_build_initial_and_extension_steps():
@@ -127,7 +131,7 @@ def test_node_inner_is_row_partition_intersection():
                     entry = groups.setdefault(head, [0, set(range(1, ctx.num_attributes + 1))])
                     entry[0] += 1
                     entry[1] &= set(row)
-            nodes = {n.path_attrs(): (n.weight, set(n.inner_attrs())) for n in tree.list_nodes(a)}
+            nodes = {ids_of(p): (w, set(ids_of(inner))) for p, (w, inner) in tree.lists[a].items()}
             assert nodes == {head: (w, inner) for head, (w, inner) in groups.items()}
 
 
@@ -146,13 +150,8 @@ def test_conditional_chain_equals_restricted_build():
                 assert cond.lists == {}
                 continue
             rebuilt = build_complete_fptree(projected, width=a - 1)
-            got = {
-                k: {n.path_set: (n.weight,) for n in cond.list_nodes(k)} for k in cond.attributes()
-            }
-            want = {
-                k: {n.path_set: (n.weight,) for n in rebuilt.list_nodes(k)}
-                for k in rebuilt.attributes()
-            }
+            got = {k: {p: w for p, (w, _) in nodes.items()} for k, nodes in cond.lists.items()}
+            want = {k: {p: w for p, (w, _) in nodes.items()} for k, nodes in rebuilt.lists.items()}
             assert got == want
 
 
@@ -185,11 +184,47 @@ def test_conditional_tree_with_keep_matches_grouped_rows():
                     entry[0] += w
                     entry[1] &= set(row)
             got = {
-                k: {n.path_attrs(): [n.weight, set(n.inner_attrs())] for n in cond.list_nodes(k)}
-                for k in cond.attributes()
+                k: {ids_of(p): [w, set(ids_of(inner))] for p, (w, inner) in nodes.items()}
+                for k, nodes in cond.lists.items()
             }
             assert got == want, (i, attr, keep)
             assert cond.totals == {k: sum(e[0] for e in g.values()) for k, g in want.items()}
+
+
+def test_constructor_projects_paths_and_cuts_inners():
+    # The engine's root tree: paths projected onto a path mask narrower than
+    # the inners, which are the rows cut to a wider live mask.  List k must
+    # group the rows whose projected path holds k by that path up to k.
+    rng = random.Random(17)
+    for i in range(60):
+        width = rng.randrange(2, 16)
+        live = rng.getrandbits(width) | 1 << (width - 1)
+        path_mask = live & rng.getrandbits(width)
+        base = [rng.getrandbits(width) for _ in range(rng.randrange(1, 8))]
+        # Rows that differ only outside the path mask collide once projected;
+        # rows outside it altogether have an empty path and are dropped.
+        rows = [m ^ (rng.getrandbits(width) & ~path_mask) for m in base for _ in range(3)]
+        rows += [rng.getrandbits(width) & ~path_mask for _ in range(3)]
+        rows = [m for m in rows if m]
+        weights = [rng.randrange(1, 5) for _ in rows]
+        inners = [(w, m & live) for w, m in zip(weights, rows)]
+        tree = CompleteFpTree(width, path_mask, zip(rows, inners))
+        tree.validate()
+        want = {}
+        for m, w in zip(rows, weights):
+            path = m & path_mask
+            for k in ids_of(path):
+                entry = want.setdefault(k, {}).setdefault(path & ((1 << k) - 1), [0, -1])
+                entry[0] += w
+                entry[1] &= m & live
+        got = {k: {p: list(node) for p, node in nodes.items()} for k, nodes in tree.lists.items()}
+        assert got == want, i
+        for k in range(1, width + 1):
+            held = [(w, m & live) for m, w in zip(rows, weights) if (m & path_mask) >> (k - 1) & 1]
+            assert tree.list_weight(k) == sum(w for w, _ in held), (i, k)
+            if held:
+                inter = functools.reduce(operator.and_, (inner for _, inner in held))
+                assert tree.inters[k] == inter, (i, k)
 
 
 def test_lcm3_matches_oracle_on_k1(k1):
@@ -310,14 +345,11 @@ def test_lcm3_with_extents_matches_lcm2_on_dense_implications():
 
 
 def test_lcm3_mines_without_node_objects(monkeypatch):
-    # Lists hold (weight, inner) tuples; FpNode is only the view list_nodes() builds.
+    # Lists hold (weight, inner) tuples keyed by path; the FP phase must still run.
     from conceptmine import fptree, mine_concepts
 
     original = fptree.conditional_fptree
     built = []
-
-    def refuse(self, *args):
-        raise AssertionError("FpNode built on the mining path")
 
     def counted(tree, attr, *args, **kwargs):
         sub = original(tree, attr, *args, **kwargs)
@@ -328,15 +360,12 @@ def test_lcm3_mines_without_node_objects(monkeypatch):
         ctx = survey_like(seed)
         reference = concept_set(mine_concepts(ctx, 1, algorithm="lcm2"))
         with monkeypatch.context() as patched:
-            patched.setattr(fptree.FpNode, "__init__", refuse)
             patched.setattr(fptree, "conditional_fptree", counted)
             for width in (4, 128, math.inf):
                 built.clear()
                 mined = mine_concepts(ctx, 1, algorithm="lcm3", dense_width=width)
                 assert concept_set(mined) == reference
                 assert sum(built) > 0  # the FP-tree phase ran and built non-empty trees
-        tree = build_complete_fptree([r for r in ctx.rows if r], width=ctx.num_attributes)
-        assert all(type(n) is fptree.FpNode for a in tree.attributes() for n in tree.list_nodes(a))
 
 
 def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
@@ -350,8 +379,8 @@ def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
         sub = original(tree, attr, *args, **kwargs)
         sub.validate()
         closure_bits = -1
-        for node in tree.list_nodes(attr):
-            closure_bits &= node.inner
+        for _, inner in tree.lists[attr].values():
+            closure_bits &= inner
         for key in sub.lists:
             assert sub.totals[key] >= min_weight, (attr, key)
             assert not closure_bits >> (key - 1) & 1, (attr, key)
