@@ -5,8 +5,10 @@ ids 1..n).  Rows are stored as strictly ascending arraylists of attribute ids;
 each row carries a positive integer weight counting how many original objects
 it stands for.  The vertical view - one row bitset per attribute column plus
 the weight bit-planes - is built on first use and gives the exact weighted
-size of any row set by popcounts.  Contexts are treated as immutable after
-construction, so any number of enumeration runs may share one.
+size of any row set by popcounts.  The columns are built in one pass over
+the rows and are the only column form the context keeps.  Contexts are
+treated as immutable after construction, so any number of enumeration runs
+may share one.
 
 Ingest costs the distinct rows, not the objects: the FIMI parser counts its
 lines once, parses each distinct line once, and makes each distinct id set
@@ -140,18 +142,19 @@ class FormalContext:
         return [mask_of(row) for row in self.rows]
 
     @cached_property
-    def attribute_extents(self) -> list[list[int]]:
-        """For each attribute, the ascending list of row indices containing it."""
-        cols: list[list[int]] = [[] for _ in range(self.num_attributes + 1)]
-        for x, row in enumerate(self.rows):
-            for a in row:
-                cols[a].append(x)
-        return cols
-
-    @cached_property
     def columns(self) -> list[int]:
-        """For each attribute, its rows as a bitset (row x at bit x)."""
-        return [_row_bitset(rows, self.num_objects) for rows in self.attribute_extents]
+        """For each attribute, its rows as a bitset (row x at bit x).
+
+        One pass over the rows sets each row's bit in one byte array per
+        attribute; index 0 is unused padding.
+        """
+        size = (self.num_objects + 7) >> 3
+        bufs = [bytearray(size) for _ in range(self.num_attributes + 1)]
+        for x, row in enumerate(self.rows):
+            at, bit = x >> 3, 1 << (x & 7)
+            for a in row:
+                bufs[a][at] |= bit
+        return [int.from_bytes(buf, "little") for buf in bufs]
 
     @cached_property
     def weight_planes(self) -> list[int]:
@@ -488,7 +491,9 @@ def preprocess(
     for x, at in enumerate(map(group_of.__getitem__, map(id, ctx.rows))):
         groups[at].append(x)
     groups.pop()
-    if merge_rows:
+    if merge_rows and ctx.total_weight == ctx.num_objects:  # every weight is 1
+        weights = list(map(len, groups))
+    elif merge_rows:
         weights = [sum(map(ctx.weights.__getitem__, group)) for group in groups]
     else:  # one group per object, in object order
         owners = sorted((x, at) for at, group in enumerate(groups) for x in group)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conceptmine import FormalContext
@@ -43,3 +45,16 @@ def random_context(i: int) -> FormalContext:
     n = 2 + (i * 5) % 11
     density = (0.05, 0.1, 0.25, 0.5)[i % 4]
     return generate_context(1000 + i, m, n, density)
+
+
+def weighted_context(seed: int) -> FormalContext:
+    """Weighted rows drawn from a few patterns, so rows repeat; some contexts
+    have no objects, some rows are empty, and some attributes are in no row."""
+    rng = random.Random(seed)
+    used = rng.randint(0, 8)
+    patterns = [sorted(rng.sample(range(1, used + 1), rng.randint(0, used))) for _ in range(5)]
+    patterns.append([])
+    m = rng.choice((0, 1, 2, rng.randint(3, 30)))
+    rows = [rng.choice(patterns) for _ in range(m)]
+    weights = [rng.randint(1, 4) for _ in rows]
+    return FormalContext(rows, weights, num_attributes=used + rng.randint(0, 3))

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -16,7 +17,7 @@ from conceptmine import (
 )
 from conceptmine.context import AttributeRemap
 
-from conftest import K1_ROWS, random_context
+from conftest import K1_ROWS, random_context, weighted_context
 
 
 def test_parse_fimi_basic():
@@ -518,6 +519,32 @@ def test_columns_and_weight_planes_k1():
     assert ctx.weight_of(0b1111) == ctx.total_weight == 10
     assert ctx.weight_of(ctx.columns[2]) == 4
     assert ctx.weight_of(0) == 0
+
+
+def test_columns_equal_the_rows_holding_each_attribute():
+    wide = FormalContext([list(range(1, 20_001)), [1, 2], [1, 3], [4]])
+    for ctx in [wide] + [weighted_context(seed) for seed in range(120)]:
+        want = [0] * (ctx.num_attributes + 1)
+        for x, row in enumerate(ctx.rows):
+            for a in row:
+                want[a] |= 1 << x
+        assert ctx.columns == want
+    assert wide.columns[1] == 0b0111 and wide.columns[5] == 0b0001
+
+
+def test_columns_memory_is_the_size_of_the_bitsets():
+    # The 1,200-row staircase holds 720,600 incidences; per-attribute lists of
+    # row indices kept beside the bitsets would take about 29 times their size.
+    ctx = FormalContext([list(range(1, i + 1)) for i in range(1, 1201)])
+    tracemalloc.start()
+    try:
+        columns = ctx.columns
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(map(sys.getsizeof, columns))
+    assert kept <= 1.5 * size, (kept, size)
+    assert peak <= 4 * size, (peak, size)
 
 
 def test_weight_of_matches_down_property():
