@@ -325,8 +325,20 @@ def _item_ids(line: str, known: dict[int, int]) -> tuple[int, ...]:
 
     An id already in ``known`` is returned as the int object stored there, so
     that lines share their ids instead of holding one int object per token.
+    A line of ASCII digit tokens is converted in one pass; any other line,
+    or one with an id too long for ``int``, goes token by token, so that
+    its error names the token.
     """
-    ids = {_item_id(token) for token in line.split()}
+    tokens = line.split()
+    joined = "".join(tokens)
+    ids = None
+    if joined.isascii() and joined.isdigit():
+        try:
+            ids = set(map(int, tokens))
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    if ids is None:
+        ids = {_item_id(token) for token in tokens}
     return tuple(sorted(map(known.setdefault, ids, ids)))
 
 

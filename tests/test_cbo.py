@@ -1,6 +1,6 @@
 import pytest
 
-from conceptmine import EnumerationStats, cbo_enumerate, enumerate_naive
+from conceptmine import EnumerationStats, cbo_enumerate, enumerate_naive, preprocess
 from conceptmine.bits import ids_of
 from conceptmine.derive import Concept, depth_first
 
@@ -104,13 +104,22 @@ def list_scan_cbo(ctx, min_support=0, *, with_extents=False, stats=None):
     yield from depth_first(generate(list(range(ctx.num_objects)), ctx.total_weight, 0, 0))
 
 
+def weight_case(ctx):
+    """Which of cbo's ways to weigh a child a context takes."""
+    heavy = sum(w > 1 for w in ctx.weights)
+    if not ctx.num_objects:
+        return "no objects"
+    if not heavy:
+        return "every weight 1"
+    return "some weight above 1" if 2 * heavy <= ctx.num_objects else "most weights above 1"
+
+
 @pytest.mark.parametrize("with_extents", [False, True])
 def test_cbo_equals_the_list_scan_reference(with_extents):
     seen = set()
     for seed in range(120):
         ctx = weighted_context(seed)
-        if ctx.num_objects == 0:
-            seen.add("no objects")
+        seen.add(weight_case(ctx))
         if [] in ctx.rows:
             seen.add("empty row")
         if len(ctx.distinct_rows) < ctx.num_objects:
@@ -129,4 +138,31 @@ def test_cbo_equals_the_list_scan_reference(with_extents):
                     assert list(c.extent) == sorted(set(c.extent))
                 else:
                     assert c.extent is None
-    assert seen == {"no objects", "empty row", "repeated row", "unused attribute"}
+    assert seen == {
+        "no objects",
+        "empty row",
+        "repeated row",
+        "unused attribute",
+        "every weight 1",
+        "some weight above 1",
+        "most weights above 1",
+    }
+
+
+@pytest.mark.parametrize("with_extents", [False, True])
+def test_cbo_equals_the_list_scan_reference_on_preprocessed_contexts(with_extents):
+    # The CLI mines preprocessed contexts: identical rows merged into one
+    # heavier row, rows in descending weight, attributes by cardinality.
+    seen = set()
+    for seed in range(60):
+        for ctx in (weighted_context(seed), random_context(seed)):
+            for s in range(4):
+                pre, _, _ = preprocess(ctx, s)
+                assert pre.weights == sorted(pre.weights, reverse=True)
+                seen.add(weight_case(pre))
+                got_stats, want_stats = EnumerationStats(), EnumerationStats()
+                got = list(cbo_enumerate(pre, s, with_extents=with_extents, stats=got_stats))
+                want = list(list_scan_cbo(pre, s, with_extents=with_extents, stats=want_stats))
+                assert got == want, (seed, s)
+                assert got_stats == want_stats, (seed, s)
+    assert seen == {"no objects", "every weight 1", "some weight above 1", "most weights above 1"}

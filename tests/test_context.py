@@ -101,6 +101,27 @@ def test_parse_fimi_negative_id_message():
         parse_fimi("-4\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2\n3 ١\n", "expected an integer item id, got '١'"),
+        ("1 2\n-3\n", "negative item id -3"),
+        ("1 2\n4 " + "7" * 5000 + " 5\n", f"expected an integer item id, got '{'7' * 5000}'"),
+        ("1 2\n1 x 2\n", "expected an integer item id, got 'x'"),
+        ("1\t2\r\n7\tx\t8\r\n", "expected an integer item id, got 'x'"),
+        ("\t1\t2\t\r\n3\t-5\r\n", "negative item id -5"),
+    ],
+)
+def test_parse_fimi_errors_name_the_token_after_an_all_digit_line(text, message):
+    # Line 1 holds only digit tokens and line 2 a bad one: the one-pass
+    # conversion of digit lines leaves every message and line number as the
+    # token-by-token path gives them.
+    with pytest.raises(ParseError) as caught:
+        parse_fimi(text)
+    assert str(caught.value) == f"line 2: {message}"
+    assert caught.value.line == 2
+
+
 def test_parse_fimi_bad_token_on_repeated_line_reports_first_line():
     with pytest.raises(ParseError, match="line 4"):
         parse_fimi("1 2\n5\n1 2\n7 y\n1 2\n7 y\n")
