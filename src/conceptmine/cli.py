@@ -365,17 +365,7 @@ def _cmd_bench(args) -> int:
         return EXIT_DIGEST
     import csv  # here, not at module level, so that mining never loads it
 
-    fields = [
-        "algorithm",
-        "wall_ms_median",
-        "concepts",
-        "concepts_emitted",
-        "recursive_calls",
-        "closure_computations",
-        "canonicity_failures",
-        "pruning_rule_hits",
-        "conditional_dbs_built",
-    ]
+    fields = ["algorithm", "wall_ms_median", "concepts", *EnumerationStats.__slots__]
     with _stdout() as out:
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()

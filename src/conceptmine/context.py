@@ -466,11 +466,12 @@ def preprocess(
 
     Empty attributes and attributes with weighted cardinality below
     ``min_support`` are removed, the rest renumbered 1..n in descending
-    cardinality order (ties by ascending original id).  Originally empty rows
-    are dropped; rows that merely become empty through attribute removal are
-    kept so no support weight is lost.  Identical rows merge with summed
-    weights, and rows are ordered by descending weight.  The returned
-    remap/merge translate results back to the input ids.
+    cardinality order (ties by ascending original id).  Every object is
+    kept: a row that is empty, from the start or through attribute removal,
+    maps to the empty row, so the total weight is conserved and the merge
+    groups partition the objects.  Identical rows merge with summed weights,
+    and rows are ordered by descending weight.  The returned remap/merge
+    translate results back to the input ids.
     """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
@@ -485,33 +486,27 @@ def preprocess(
 
     # Each distinct row is mapped once, and gets the group of its mapped row;
     # then one pass over the objects fills the groups.  ``ctx`` holds every
-    # row, so rows are keyed by id.  An originally empty row carries no
-    # support for any itemset: its objects go to the last group (index -1),
-    # which is dropped.
+    # row, so rows are keyed by id.
     group_of: dict[int, int] = {}  # id of a row of ctx -> its group
     mapped_group: dict[tuple[int, ...], int] = {}
     rows: list[list[int]] = []
     for row in ctx.distinct_rows:
-        at = -1
-        if row:
-            mapped = tuple(sorted(old_to_new[a] for a in row if a in old_to_new))
-            at = mapped_group.setdefault(mapped, len(rows))
-            if at == len(rows):
-                rows.append(list(mapped))
-        group_of[id(row)] = at
-    groups: list[list[int]] = [[] for _ in range(len(rows) + 1)]
-    for x, at in enumerate(map(group_of.__getitem__, map(id, ctx.rows))):
-        groups[at].append(x)
-    groups.pop()
-    if merge_rows and ctx.total_weight == ctx.num_objects:  # every weight is 1
-        weights = list(map(len, groups))
-    elif merge_rows:
-        weights = [sum(map(ctx.weights.__getitem__, group)) for group in groups]
+        mapped = tuple(sorted(old_to_new[a] for a in row if a in old_to_new))
+        at = group_of[id(row)] = mapped_group.setdefault(mapped, len(rows))
+        if at == len(rows):
+            rows.append(list(mapped))
+    if merge_rows:
+        groups: list[list[int]] = [[] for _ in rows]
+        for x, at in enumerate(map(group_of.__getitem__, map(id, ctx.rows))):
+            groups[at].append(x)
+        if ctx.total_weight == ctx.num_objects:  # every weight is 1
+            weights = list(map(len, groups))
+        else:
+            weights = [sum(map(ctx.weights.__getitem__, group)) for group in groups]
     else:  # one group per object, in object order
-        owners = sorted((x, at) for at, group in enumerate(groups) for x in group)
-        rows = [rows[at] for _, at in owners]
-        weights = [ctx.weights[x] for x, _ in owners]
-        groups = [[x] for x, _ in owners]
+        rows = [rows[group_of[id(row)]] for row in ctx.rows]
+        weights = ctx.weights
+        groups = [[x] for x in range(ctx.num_objects)]
 
     # Heaviest rows first (stably): the weight bit-planes above plane 0 then
     # span only the low row bits, which keeps weighted popcounts cheap.

@@ -251,18 +251,20 @@ class _Runner:
         ctx = self.ctx
         if ctx.total_weight < self.min_support:
             return
-        db = root_database(ctx)
-        # The root's entry step: it has no attribute below its anchor, so it
-        # cannot fail the canonicity test.
-        st.recursive_calls += 1
-        st.closure_computations += 1
-        yield from depth_first(self._node(db, db.extent, 0, 0))
-        assert len(self.rules) == 0, "rule store not empty after the root call"
-        if self.min_support == 0 and ctx.num_attributes > 0:
+        if ctx.num_objects:
+            db = root_database(ctx)
+            # The root's entry step: it has no attribute below its anchor, so it
+            # cannot fail the canonicity test.
+            st.recursive_calls += 1
+            st.closure_computations += 1
+            yield from depth_first(self._node(db, db.extent, 0, 0))
+            assert len(self.rules) == 0, "rule store not empty after the root call"
+        if self.min_support == 0:
             n = ctx.num_attributes
             if not any(len(row) == n for row in ctx.rows):
-                # No object carries every attribute, so the full intent closes the
-                # lattice with an empty extent; counted as one (virtual) visit.
+                # No object carries every attribute (or there is no object), so the
+                # full intent closes the lattice with an empty extent; counted as
+                # one (virtual) visit.
                 st.recursive_calls += 1
                 st.concepts_emitted += 1
                 yield Concept(tuple(range(1, n + 1)), 0, () if self.with_extents else None)

@@ -2,11 +2,11 @@
 
 Every engine works in the preprocessed context's ids; the pipeline maps
 intents and extents back to the caller's ids in one place.  Preprocessing
-drops originally-empty rows and empty/infrequent attributes.  Both removals
-can only affect the two boundary concepts - the empty intent (whose support
-must count the dropped empty rows) and, at min_support 0, the full intent
-(which must span every original attribute) - so the pipeline patches exactly
-those two after the engine run.  Everything in between maps 1:1 through the
+keeps every object, so the engine's root - the closure of the empty intent -
+has the full weight and every object.  It drops empty and infrequent
+attributes, which can only affect the bottom concept at min_support 0: the
+full intent must span every original attribute, so the pipeline patches
+exactly that one after the engine run.  Everything else maps 1:1 through the
 attribute remap and object merge.
 """
 
@@ -49,16 +49,12 @@ def mine_concepts(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if min_support < 0:
-        raise ValueError("min_support must be non-negative")
     stats = stats if stats is not None else EnumerationStats()
 
     pre, remap, merge = preprocess(
         ctx, min_support, sort_attributes=sort_attributes, merge_rows=merge_rows
     )
     full_remap = compose_remaps(base_remap, remap) if base_remap is not None else remap
-    total_weight = ctx.total_weight
-    dropped_weight = total_weight - pre.total_weight
 
     inspector = None
     if node_inspector is not None:
@@ -86,18 +82,6 @@ def mine_concepts(
         else:
             raw = lcm3_enumerate(pre, min_support, dense_width, **options)
     concepts = [_translate(c, full_remap, merge) for c in raw]
-
-    if dropped_weight > 0 and total_weight >= min_support:
-        # Empty rows were dropped, so the empty intent's support lost their
-        # weight (and the concept disappears entirely when nothing else closes
-        # to the empty set).
-        all_objects = tuple(range(ctx.num_objects)) if with_extents else None
-        for at, c in enumerate(concepts):
-            if c.intent == ():
-                concepts[at] = Concept((), total_weight, all_objects)
-                break
-        else:
-            concepts.append(Concept((), total_weight, all_objects))
 
     if min_support == 0 and pre.num_attributes < ctx.num_attributes:
         # Some attribute was dropped, so no object can carry the full original

@@ -364,14 +364,14 @@ def test_preprocess_min_support_drops_infrequent_attribute():
     assert pre.total_weight == 4
 
 
-def test_preprocess_drops_empty_rows_keeps_rows_emptied_by_filtering():
+def test_preprocess_keeps_empty_rows_and_rows_emptied_by_filtering():
     ctx = FormalContext([[1], [], [2], [2]], num_attributes=2)
     pre, remap, merge = preprocess(ctx, 2)
-    # attribute 1 (cardinality 1) goes; its row stays as an empty row with weight
+    # attribute 1 (cardinality 1) goes; its row joins the originally empty row
     assert remap.new_to_old == (2,)
     assert sorted(map(tuple, pre.rows)) == [(), (1,)]
-    assert pre.total_weight == 3  # the originally empty row is gone
-    assert set().union(*merge.groups) == {0, 2, 3}
+    assert pre.total_weight == 4
+    assert sorted(x for group in merge.groups for x in group) == [0, 1, 2, 3]
 
 
 def test_preprocess_orders_rows_by_descending_weight():
@@ -400,7 +400,6 @@ def _reference_preprocess(ctx, min_support, sort_attributes, merge_rows):
     kept = [
         (x, sorted(new[a] for a in row if a in new), w)
         for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights))
-        if row
     ]
     merged: dict = {}
     for x, mapped, w in kept:
@@ -484,11 +483,15 @@ def test_remap_round_trip_property():
 
 
 def test_weight_conservation_property():
-    for i in range(25):
-        ctx = random_context(i)
-        pre, _, _ = preprocess(ctx, 0)
-        nonempty = sum(1 for row in ctx.rows if row)
-        assert pre.total_weight == nonempty
+    # Every object is kept: empty rows, original or emptied by filtering, too.
+    corpus = [random_context(i) for i in range(25)] + [weighted_context(i) for i in range(120)]
+    for ctx in corpus:
+        for s in (0, 1, 3):
+            for merge_rows in (True, False):
+                pre, _, merge = preprocess(ctx, s, merge_rows=merge_rows)
+                assert pre.total_weight == ctx.total_weight
+                objects = [x for group in merge.groups for x in group]
+                assert sorted(objects) == list(range(ctx.num_objects))
 
 
 def test_cardinality_monotone_after_sort():

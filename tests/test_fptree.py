@@ -23,7 +23,7 @@ from conceptmine import (
 from conceptmine.bits import ids_of
 from conceptmine.cli import generate_context
 
-from conftest import K1_WORKING_CONCEPTS, concept_set, random_context
+from conftest import K1_WORKING_CONCEPTS, concept_set, random_context, weighted_context
 
 # K1 renumbered by descending cardinality (attribute 1 = most frequent).
 K1_DENSE = [[1, 2, 3], [1, 2], [1, 3], [1, 4]]
@@ -286,6 +286,19 @@ def test_lcm3_extents_match_oracle():
         oracle = {c.intent: c.extent for c in enumerate_naive(ctx, 1, with_extents=True)}
         mined = mine_concepts(ctx, 1, algorithm="lcm3", dense_width=None, with_extents=True)
         assert {c.intent: c.extent for c in mined} == oracle
+    # Weighted rows with empty ones, no objects, unused attributes: the
+    # pipeline's top concept holds every object and the full weight as mined.
+    for seed in range(200):
+        ctx = weighted_context(seed)
+        for s in (0, 1, 2, 3):
+            oracle = set(enumerate_naive(ctx, s, with_extents=True))
+            for algorithm in ("cbo", "lcm2", "lcm3"):
+                for merge_rows in (True, False):
+                    mined = mine_concepts(
+                        ctx, s, algorithm=algorithm, merge_rows=merge_rows, with_extents=True
+                    )
+                    assert len(mined) == len(oracle), (seed, s, algorithm, merge_rows)
+                    assert set(mined) == oracle, (seed, s, algorithm, merge_rows)
 
 
 def survey_like(seed: int) -> FormalContext:

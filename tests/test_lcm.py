@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from conceptmine import (
     enumerate_naive,
     frequencies,
     lcm2_enumerate,
+    lcm3_enumerate,
     mine_concepts,
     occurrence_deliver,
     parse_fimi,
@@ -20,7 +23,7 @@ from conceptmine import (
 )
 from conceptmine.bits import RowSet, set_bits
 
-from conftest import K1_WORKING_CONCEPTS, concept_set, random_context
+from conftest import K1_WORKING_CONCEPTS, concept_set, random_context, weighted_context
 
 
 def k1_root_db():
@@ -256,6 +259,24 @@ def test_lcm2_oracle_equivalence_random():
             pre, _, _ = preprocess(ctx, s)
             got = concept_set(lcm2_enumerate(pre, s, check_pruning=True))
             assert got == concept_set(enumerate_naive(pre, s)), (i, s)
+    # Raw weighted contexts, unpreprocessed: empty rows, attributes in no row,
+    # and contexts with no objects, whose only concept at support 0 is the
+    # full intent (or the empty one when there is no attribute either).
+    engines = {"lcm2": functools.partial(lcm2_enumerate, check_pruning=True)}
+    for width in (0, 4, math.inf):
+        engines[f"lcm3/{width}"] = functools.partial(
+            lcm3_enumerate, dense_width=width, check_pruning=True
+        )
+    for seed in range(300):
+        ctx = weighted_context(seed)
+        for s in (0, 1, 2, 3):
+            want = set(enumerate_naive(ctx, s, with_extents=True))
+            for name, engine in engines.items():
+                stats = EnumerationStats()
+                got = list(engine(ctx, s, with_extents=True, stats=stats))
+                assert set(got) == want, (seed, s, name)
+                assert stats.concepts_emitted == len(got), (seed, s, name)
+                assert stats.recursive_calls == len(got) + stats.canonicity_failures
 
 
 def test_lcm2_bucket_faithfulness_via_inspector(k1):
