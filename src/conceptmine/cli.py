@@ -350,6 +350,8 @@ def _cmd_bench(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise _UsageError(f"unknown algorithm {a!r} in --algorithms")
+    if args.dense_width is not None and "lcm3" not in algorithms:
+        raise _UsageError("--dense-width applies only when --algorithms holds lcm3")
     min_support = _resolve_support(args, ctx.num_objects)
     try:
         rows = bench(

@@ -516,6 +516,14 @@ def preprocess(
     if merge_rows:
         new_ctx = FormalContext._of_normal_rows(rows, weights, rows, weights, len(retained))
     else:
-        new_ctx = FormalContext(rows, weights, num_attributes=len(retained))
+        # The mapped rows are normal and shared already: each distinct one is
+        # keyed by id, in order of first occurrence, with its weights summed.
+        distinct = dict(zip(map(id, rows), rows))
+        totals = dict.fromkeys(distinct, 0)
+        for key, w in zip(map(id, rows), weights):
+            totals[key] += w
+        new_ctx = FormalContext._of_normal_rows(
+            rows, weights, list(distinct.values()), totals.values(), len(retained)
+        )
     merge = ObjectMerge(tuple(tuple(groups[r]) for r in order))
     return new_ctx, remap, merge

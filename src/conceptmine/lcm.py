@@ -7,27 +7,35 @@ frequency equals the extent weight.  The databases are vertical: an extent is
 a row bitset, an attribute's frequency is the weighted popcount of the extent
 ANDed with its column (:meth:`FormalContext.column_weights`), and an attribute
 is full exactly when its column covers the extent.  Each node's conditional
-database is its extent plus the live attributes - constant, empty and
-infrequent ones dropped - held once as an ascending tuple and split at the
-anchor into suffix candidates and the prefix attributes that later canonicity
-checks need.  Frequencies come as a list aligned with that tuple, so the
-child's database keeps its attributes in order without a sort.  Occurrence
-deliver fills every child extent (bucket) with one AND per suffix attribute.
-The canonicity test stops at the smallest violator, as in In-Close.  Children
-are expanded right to left, largest attribute first.  As in Close-by-One,
-each node's intent is an attribute bitmask, turned into ids only when the
-node is emitted.
+database is its extent plus its attributes, held once as an ascending tuple
+and split at the anchor into suffix candidates and the prefix attributes that
+later canonicity checks need.  As in LCM ver. 2, a node counts only its tail:
+the attributes of its parent's database at or above its anchor.  Those counts
+give the closure and the suffix, with full, empty and infrequent attributes
+dropped.  The attributes below the anchor are carried into the prefix
+uncounted: the parent's canonicity test has just shown that none of them
+covers the extent, and one that does not reach the minimum support there can
+cover no delivered bucket either.  Frequencies come as a list aligned with
+the counted attributes, so the child's database keeps its attributes in
+order without a sort.  Occurrence deliver fills every child extent (bucket)
+with one AND per suffix attribute.  The canonicity test stops at the
+smallest violator, as in In-Close.  Children are expanded right to left,
+largest attribute first.  As in Close-by-One, each node's intent is an
+attribute bitmask, turned into ids only when the node is emitted.
 
 Pruning reuses failed canonicity tests: when descending into attribute i
 forced some earlier attribute j into the closure, the rule "i adds j" skips
 the closure for i again anywhere below the current node until j itself is
 descended into or the node is left.
 
-LCM3 runs the same traversal until a node's live attribute universe fits
-within ``dense_width``, then mines the whole subtree on complete FP-trees
-(:mod:`conceptmine.fptree`): the tree's constructor takes the rows of the
+LCM3 runs the same traversal until a node's frequent attributes fit
+within ``dense_width``, then mines the whole subtree on complete FP-trees.
+Only a node whose frequent suffix fits can engage, so only such a node
+counts its prefix too and keeps the frequent prefix attributes; elsewhere the
+prefix stays uncounted, as in LCM2.  The FP-trees come from
+:mod:`conceptmine.fptree`: the tree's constructor takes the rows of the
 node's extent bitset, each row's mask projected onto the suffix attributes
-as its path and cut to the live attributes as its inner; lists act as the
+as its path and cut to the frequent attributes as its inner; lists act as the
 delivered buckets, conditional trees replace conditional databases, and
 closure and canonicity are read off each list's intersection of inners,
 which the extension step takes as it sums the list.  Inside such a subtree
@@ -39,8 +47,8 @@ carried down.  Before a conditional tree is built, the candidate attributes
 (below the key and outside the closure) are counted on the columns within
 the child extent and the paths are projected onto the frequent ones, as LCM
 ver. 3 builds conditional databases from frequent items only; the inner
-bit-arrays keep every live attribute for the closure and canonicity
-readings.
+bit-arrays keep every frequent attribute of the engaged node for the closure
+and canonicity readings.
 
 Both traversals run on the explicit stack of
 :func:`conceptmine.derive.depth_first`, one frame per node or conditional
@@ -62,15 +70,18 @@ from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree
 
 
 class ConditionalDatabase:
-    """The context restricted to one extent, reduced to its live attributes.
+    """The context restricted to one extent, reduced for the subtree below an anchor.
 
-    The extent is a row bitset of the source context.  Live attributes occur
-    in the extent without covering it and reach the minimum support; they are
-    held once, ascending, in ``attrs``.  ``split`` divides them at the anchor
-    into prefix attributes below it and suffix attributes above it
-    (candidates for deeper recursion).  A prefix attribute enters a child's
-    closure exactly when its column covers the child extent, which is all the
-    later canonicity checks need.
+    The extent is a row bitset of the source context.  The attributes are
+    held once, ascending, in ``attrs``; ``split`` divides them at the anchor
+    into prefix attributes below it and suffix attributes above it.  Suffix
+    attributes (candidates for deeper recursion) were counted: they occur in
+    the extent without covering it and reach the minimum support.  Prefix
+    attributes do not cover the extent; they are carried down uncounted, so
+    some may be infrequent in the extent or absent from it.  A prefix
+    attribute enters a child's closure exactly when its column covers the
+    child extent, which is all the later canonicity checks need, and an
+    infrequent one never does.
     """
 
     __slots__ = ("ctx", "anchor", "attrs", "split", "extent", "extent_weight")
@@ -103,15 +114,17 @@ class ConditionalDatabase:
         return len(self.extent)
 
     def validate(self) -> None:
-        ctx = self.ctx
         attrs = self.attrs
-        assert ctx.weight_of(self.extent) == self.extent_weight
-        assert all(a < b for a, b in zip(attrs, attrs[1:])), "live attributes not ascending"
+        counts, weight = self.ctx.column_weights(self.extent, attrs)
+        assert weight == self.extent_weight
+        assert all(a < b for a, b in zip(attrs, attrs[1:])), "attributes not ascending"
         assert all(a < self.anchor for a in self.prefix_attrs)
         assert all(a > self.anchor for a in self.suffix_attrs)
-        for a in attrs:
-            count = ctx.weight_of(self.extent & ctx.columns[a])
-            assert 0 < count < self.extent_weight, f"live attribute {a} full or empty"
+        for i, (a, count) in enumerate(zip(attrs, counts)):
+            if i < self.split:
+                assert count < weight, f"prefix attribute {a} full"
+            else:
+                assert 0 < count < weight, f"suffix attribute {a} full or empty"
 
 
 def occurrence_deliver(db: ConditionalDatabase) -> dict[int, RowSet]:
@@ -121,13 +134,18 @@ def occurrence_deliver(db: ConditionalDatabase) -> dict[int, RowSet]:
     return {a: RowSet(extent & columns[a]) for a in db.suffix_attrs}
 
 
-def frequencies(db: ConditionalDatabase, extent: int | None = None) -> tuple[list[int], int]:
-    """Weighted frequency of every live attribute, aligned with ``db.attrs``, and the extent weight.
+def frequencies(
+    db: ConditionalDatabase, extent: int | None = None, attrs: tuple[int, ...] | None = None
+) -> tuple[list[int], int]:
+    """Weighted frequency of each of ``attrs``, aligned with them, and the extent weight.
 
-    Restricted to the ``extent`` row bitset when given; an attribute that does
-    not occur there counts 0.
+    ``attrs`` defaults to every attribute of ``db``, and the count is
+    restricted to the ``extent`` row bitset when given; an attribute that
+    does not occur there counts 0.
     """
-    return db.ctx.column_weights(db.extent if extent is None else extent, db.attrs)
+    return db.ctx.column_weights(
+        db.extent if extent is None else extent, db.attrs if attrs is None else attrs
+    )
 
 
 def create_conditional_db(
@@ -140,14 +158,23 @@ def create_conditional_db(
 ) -> ConditionalDatabase:
     """Project ``db`` onto an extent for recursion below ``anchor``.
 
-    Full, empty, and infrequent attributes are dropped; live attributes below
-    the anchor move into the prefix.  ``counted`` is ``frequencies(db, extent)``
-    when the caller already has it.
+    Only the tail is counted: the attributes of ``db`` at or above the anchor,
+    of which the full, empty and infrequent ones are dropped.  Those below the
+    anchor move into the prefix uncounted, so the caller must know that none
+    of them covers the extent; a canonicity test that passed has shown it.
+    ``counted`` is ``frequencies(db, extent, tail)`` when the caller already
+    has it.
     """
-    counts, extent_weight = counted if counted is not None else frequencies(db, extent)
+    attrs = db.attrs
+    cut = bisect_left(attrs, anchor)
+    counts, extent_weight = (
+        counted if counted is not None else frequencies(db, extent, attrs[cut:])
+    )
     threshold = max(1, min_support)
-    attrs = tuple(a for a, n in zip(db.attrs, counts) if threshold <= n < extent_weight)
-    return ConditionalDatabase(db.ctx, anchor, attrs, RowSet(extent), extent_weight)
+    suffix = (a for a, n in zip(attrs[cut:], counts) if threshold <= n < extent_weight)
+    return ConditionalDatabase(
+        db.ctx, anchor, (*attrs[:cut], *suffix), RowSet(extent), extent_weight
+    )
 
 
 class PruneRuleStore:
@@ -276,8 +303,9 @@ class _Runner:
         ``extent``, the anchor among them, complete it.
         """
         st = self.stats
-        counts, extent_weight = frequencies(db, extent)
-        closed |= mask_of(a for a, n in zip(db.attrs, counts) if n == extent_weight)
+        tail = db.attrs[bisect_left(db.attrs, anchor) :]
+        counts, extent_weight = frequencies(db, extent, tail)
+        closed |= mask_of(a for a, n in zip(tail, counts) if n == extent_weight)
         st.concepts_emitted += 1
         yield self._emit(closed, extent_weight, extent)
 
@@ -288,9 +316,16 @@ class _Runner:
         del counts  # a frame lives as long as its subtree: keep only what the children need
         if not child_db.suffix_attrs:
             return
-        if len(child_db.attrs) <= self.dense_width:
-            yield self._tree_root(child_db, closed)
-            return
+        if len(child_db.suffix_attrs) <= self.dense_width:
+            # Only here can the FP-trees engage, and whether they do depends on
+            # the frequent prefix, so only here is the prefix counted.
+            prefix = child_db.prefix_attrs
+            counts = frequencies(child_db, extent, prefix)[0]
+            prefix_mask = mask_of(a for a, n in zip(prefix, counts) if n >= self.min_weight)
+            del prefix, counts
+            if prefix_mask.bit_count() + len(child_db.suffix_attrs) <= self.dense_width:
+                yield self._tree_root(child_db, prefix_mask, closed)
+                return
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
         buckets = list(occurrence_deliver(child_db).items())
@@ -323,10 +358,13 @@ class _Runner:
                 yield self._node(child_db, child, closed, a)
         rules.pop_frame()
 
-    def _tree_root(self, db: ConditionalDatabase, closed: int):
-        """The frame that mines ``db``'s subtree on a complete FP-tree of its extent."""
+    def _tree_root(self, db: ConditionalDatabase, prefix_mask: int, closed: int):
+        """The frame that mines ``db``'s subtree on a complete FP-tree of its extent.
+
+        ``prefix_mask`` holds the prefix attributes of ``db`` that are frequent
+        in its extent.
+        """
         suffix_mask = mask_of(db.suffix_attrs)
-        prefix_mask = mask_of(db.prefix_attrs)
         live_mask = suffix_mask | prefix_mask
         masks, weights = self.ctx.row_masks, self.ctx.weights
         nodes = ((masks[x], (weights[x], masks[x] & live_mask)) for x in set_bits(db.extent))

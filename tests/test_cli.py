@@ -481,6 +481,17 @@ def test_bench_bad_dense_width_exits_4(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_bench_dense_width_without_lcm3_exits_3(tmp_path, capsys):
+    # As mine does, bench refuses an option that no engine it runs would read.
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    for algorithms in ("cbo", "cbo,lcm2"):
+        args = ["bench", str(data), "--algorithms", algorithms, "--dense-width", "-1"]
+        assert_usage_error(args, capsys, "--dense-width")
+    args = ["bench", str(data), "--algorithms", "lcm2,lcm3", "--dense-width", "4"]
+    assert run_cli(args) == 0
+
+
 def test_bench_function_checks_digests(k1):
     rows = bench(k1, None, ["cbo", "lcm2", "lcm3"], 1, repeats=1)
     assert [r["algorithm"] for r in rows] == ["cbo", "lcm2", "lcm3"]

@@ -431,6 +431,20 @@ def test_preprocess_matches_object_by_object_reference():
                     pre.validate()
 
 
+def test_unmerged_preprocess_equals_the_constructor_built_context():
+    # Unmerged preprocessing keeps its shared mapped rows as they are; the
+    # public constructor, which normalises every row again, must agree.
+    contexts = [random_context(i) for i in range(40)] + [weighted_context(s) for s in range(120)]
+    for i, ctx in enumerate(contexts):
+        for s in (0, 1, 3):
+            pre, _, _ = preprocess(ctx, s, merge_rows=False)
+            built = FormalContext(pre.rows, pre.weights, num_attributes=pre.num_attributes)
+            assert pre.rows == built.rows and pre.weights == built.weights, (i, s)
+            assert pre.distinct_rows == built.distinct_rows, (i, s)
+            assert pre.attr_cardinality == built.attr_cardinality, (i, s)
+            pre.validate()
+
+
 def test_context_from_generator_of_fresh_lists():
     # Each fresh list is freed once read, so the next fresh one may take its
     # id; a memo keyed on the ids of lists it does not hold would mix them up.

@@ -1,6 +1,8 @@
 import functools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from conceptmine import (
     preprocess,
     root_database,
 )
+from conceptmine import lcm as lcm_module
 from conceptmine.bits import RowSet, set_bits
 
 from conftest import K1_WORKING_CONCEPTS, concept_set, random_context, weighted_context
@@ -67,13 +70,14 @@ def test_frequencies_k1_root():
 def test_frequencies_counts_interior_intersections():
     # Conditional database built below: prefix attributes {1, 2}, suffix {5}.
     # The prefix attributes stand where interior intersections stood in a
-    # row-merging database, and are counted like the suffix ones.
+    # row-merging database; by default they are counted like the suffix ones.
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
     db = create_conditional_db(base, base.extent, 3)
     assert db.attrs == (1, 2, 5)
     assert frequencies(db) == ([2, 2, 1], 3)
     assert frequencies(db, RowSet(0b110)) == ([1, 2, 1], 2)
     assert frequencies(db, RowSet(0b010)) == ([0, 1, 0], 1)  # zeros stay aligned
+    assert frequencies(db, RowSet(0b110), db.suffix_attrs) == ([1], 2)
 
 
 def test_frequencies_empty_db():
@@ -277,6 +281,68 @@ def test_lcm2_oracle_equivalence_random():
                 assert set(got) == want, (seed, s, name)
                 assert stats.concepts_emitted == len(got), (seed, s, name)
                 assert stats.recursive_calls == len(got) + stats.canonicity_failures
+
+
+PINNED = json.loads((Path(__file__).parent / "lcm_pinned_stats.json").read_text())
+
+
+def test_lcm_stats_pinned_on_a_fixed_corpus():
+    # Counting only a node's tail must leave every tree and every counter as
+    # they were, FP-tree engagement at every width included.
+    assert PINNED["fields"] == list(EnumerationStats.__slots__)
+    engines = [
+        functools.partial(lcm2_enumerate, pruning=True),
+        functools.partial(lcm2_enumerate, pruning=False),
+        *(functools.partial(lcm3_enumerate, dense_width=w) for w in (1, 4, 10, math.inf)),
+    ]
+    assert len(engines) == len(PINNED["configs"])
+    for entry in PINNED["entries"]:
+        corpus = random_context if entry["corpus"] == "random" else weighted_context
+        support = entry["support"]
+        pre, _, _ = preprocess(corpus(entry["seed"]), support)
+        for engine, config, want in zip(engines, PINNED["configs"], entry["stats"]):
+            stats = EnumerationStats()
+            list(engine(pre, support, stats=stats))
+            got = [getattr(stats, field) for field in PINNED["fields"]]
+            assert got == want, (entry["corpus"], entry["seed"], support, config)
+
+
+def test_lcm_nodes_count_only_their_tail(monkeypatch):
+    # Spied through the module, as perfbench/tracer.py does: a node counts
+    # within its extent, then builds its child database from those counts.
+    counted = []
+    databases = []
+    frequencies_of = lcm_module.frequencies
+    create = lcm_module.create_conditional_db
+
+    def spy_frequencies(db, extent=None, attrs=None):
+        counted.append((extent, db.attrs if attrs is None else attrs))
+        return frequencies_of(db, extent, attrs)
+
+    def spy_create(db, extent, anchor, *args, **kwargs):
+        child = create(db, extent, anchor, *args, **kwargs)
+        databases.append((extent, anchor, child))
+        return child
+
+    monkeypatch.setattr(lcm_module, "frequencies", spy_frequencies)
+    monkeypatch.setattr(lcm_module, "create_conditional_db", spy_create)
+    contexts = [random_context(i) for i in range(60)] + [weighted_context(s) for s in range(120)]
+    for i, ctx in enumerate(contexts):
+        for s in (0, 1, 2):
+            pre, _, _ = preprocess(ctx, s)
+            for engine in (lcm2_enumerate, functools.partial(lcm3_enumerate, dense_width=4)):
+                counted.clear()
+                databases.clear()
+                list(engine(pre, s))
+                for _, _, child in databases:
+                    child.validate()
+                if engine is not lcm2_enumerate:
+                    continue
+                # LCM2 counts once per node, just before it builds the child database.
+                assert len(counted) == len(databases), (i, s)
+                for (counted_extent, attrs), (extent, anchor, _) in zip(counted, databases):
+                    assert counted_extent == extent, (i, s)
+                    assert all(a >= anchor for a in attrs), (i, s, anchor, attrs)
 
 
 def test_lcm2_bucket_faithfulness_via_inspector(k1):
