@@ -32,6 +32,8 @@ def cbo_enumerate(
     with_extents: bool = False,
     stats: EnumerationStats | None = None,
 ) -> Iterator:
+    if min_support < 0:
+        raise ValueError("min_support must be non-negative")
     st = stats if stats is not None else EnumerationStats()
     if ctx.total_weight < min_support:
         return

@@ -106,7 +106,6 @@ def _mine_arguments(mine: _Parser) -> None:
     mine.add_argument("--with-extents", action="store_true", help="append object ids per itemset")
     mine.add_argument("--sorted", action="store_true", help="sort output lines by itemset")
     mine.add_argument("--no-attr-sort", action="store_true")
-    mine.add_argument("--no-merge-rows", action="store_true")
     mine.add_argument("--output", "-o", default=None, help="output file (default stdout)")
     mine.add_argument("--stats", default=None, help="write run statistics as JSON to this file")
 
@@ -241,7 +240,6 @@ def _cmd_mine(args) -> int:
         pruning=not args.no_pruning,
         dense_width=_resolve_dense_width(args.dense_width),
         sort_attributes=not args.no_attr_sort,
-        merge_rows=not args.no_merge_rows,
         with_extents=args.with_extents,
         base_remap=remap,
         stats=stats,
@@ -307,13 +305,13 @@ def bench(
     """
     import statistics  # here, not at module level, so that mining never loads it
 
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     rows = []
     digests = {}
     for algorithm in algorithms:
         walls = []
-        stats = EnumerationStats()
-        concepts = []
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             stats = EnumerationStats()
             started = time.perf_counter()
             concepts = mine_concepts(
@@ -339,6 +337,8 @@ def bench(
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
     if args.input is not None:
         ctx, remap = _load_context(args.input, args.format)
     else:

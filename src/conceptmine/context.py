@@ -13,8 +13,8 @@ may share one.
 Ingest costs the distinct rows, not the objects: the FIMI parser counts its
 lines once, parses each distinct line once, and makes each distinct id set
 one list that all its lines share as their row; the cardinalities come from
-the line multiplicities.  Preprocessing maps each distinct row once and
-fills the merged groups in one pass over the objects.
+the line multiplicities.  Preprocessing maps each distinct row once and,
+when it merges them, fills the groups in one pass over the objects.
 """
 
 from __future__ import annotations
@@ -460,7 +460,6 @@ def preprocess(
     min_support: int = 0,
     *,
     sort_attributes: bool = True,
-    merge_rows: bool = True,
 ) -> tuple[FormalContext, AttributeRemap, ObjectMerge]:
     """Clean, sort, and weight a context before enumeration.
 
@@ -469,9 +468,10 @@ def preprocess(
     cardinality order (ties by ascending original id).  Every object is
     kept: a row that is empty, from the start or through attribute removal,
     maps to the empty row, so the total weight is conserved and the merge
-    groups partition the objects.  Identical rows merge with summed weights,
-    and rows are ordered by descending weight.  The returned remap/merge
-    translate results back to the input ids.
+    groups partition the objects.  Identical rows merge with summed weights
+    when that leaves at most half as many rows as objects; otherwise each
+    object keeps its row and weight.  Rows are ordered by descending weight,
+    and the returned remap/merge translate results back to the input ids.
     """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
@@ -484,9 +484,8 @@ def preprocess(
     old_to_new = {old: new for new, old in enumerate(retained, start=1)}
     remap = AttributeRemap(tuple(retained), old_to_new)
 
-    # Each distinct row is mapped once, and gets the group of its mapped row;
-    # then one pass over the objects fills the groups.  ``ctx`` holds every
-    # row, so rows are keyed by id.
+    # Each distinct row is mapped once, and gets the group of its mapped row.
+    # ``ctx`` holds every row, so rows are keyed by id.
     group_of: dict[int, int] = {}  # id of a row of ctx -> its group
     mapped_group: dict[tuple[int, ...], int] = {}
     rows: list[list[int]] = []
@@ -495,7 +494,10 @@ def preprocess(
         at = group_of[id(row)] = mapped_group.setdefault(mapped, len(rows))
         if at == len(rows):
             rows.append(list(mapped))
-    if merge_rows:
+    # Merging saves rows, but a merged weight w adds bit-planes up to its top
+    # bit to every weighted popcount: it pays only when it halves the rows.
+    merged = 2 * len(rows) <= ctx.num_objects
+    if merged:  # one pass over the objects fills the groups
         groups: list[list[int]] = [[] for _ in rows]
         for x, at in enumerate(map(group_of.__getitem__, map(id, ctx.rows))):
             groups[at].append(x)
@@ -503,18 +505,18 @@ def preprocess(
             weights = list(map(len, groups))
         else:
             weights = [sum(map(ctx.weights.__getitem__, group)) for group in groups]
-    else:  # one group per object, in object order
-        rows = [rows[group_of[id(row)]] for row in ctx.rows]
+    else:  # one row per object, each its own group
+        rows = list(map(rows.__getitem__, map(group_of.__getitem__, map(id, ctx.rows))))
         weights = ctx.weights
-        groups = [[x] for x in range(ctx.num_objects)]
 
     # Heaviest rows first (stably): the weight bit-planes above plane 0 then
     # span only the low row bits, which keeps weighted popcounts cheap.
-    order = sorted(range(len(rows)), key=lambda r: -weights[r])
-    rows = [rows[r] for r in order]
-    weights = [weights[r] for r in order]
-    if merge_rows:
+    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
+    rows = list(map(rows.__getitem__, order))
+    weights = list(map(weights.__getitem__, order))
+    if merged:
         new_ctx = FormalContext._of_normal_rows(rows, weights, rows, weights, len(retained))
+        merge = ObjectMerge(tuple(tuple(groups[r]) for r in order))
     else:
         # The mapped rows are normal and shared already: each distinct one is
         # keyed by id, in order of first occurrence, with its weights summed.
@@ -525,5 +527,5 @@ def preprocess(
         new_ctx = FormalContext._of_normal_rows(
             rows, weights, list(distinct.values()), totals.values(), len(retained)
         )
-    merge = ObjectMerge(tuple(tuple(groups[r]) for r in order))
+        merge = ObjectMerge(tuple(zip(order)))
     return new_ctx, remap, merge

@@ -479,6 +479,8 @@ def lcm3_enumerate(
     ``dense_width``.  ``dense_width`` 0 disables the FP-trees entirely;
     ``None`` (or ``math.inf``) engages them at every node.
     """
+    if min_support < 0:
+        raise ValueError("min_support must be non-negative")
     if dense_width is None:
         dense_width = math.inf
     elif not math.isinf(dense_width):

@@ -7,7 +7,8 @@ has the full weight and every object.  It drops empty and infrequent
 attributes, which can only affect the bottom concept at min_support 0: the
 full intent must span every original attribute, so the pipeline patches
 exactly that one after the engine run.  Everything else maps 1:1 through the
-attribute remap and object merge.
+attribute remap and object merge, whether or not preprocessing merged
+identical rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ def mine_concepts(
     pruning: bool = True,
     dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
     sort_attributes: bool = True,
-    merge_rows: bool = True,
     with_extents: bool = False,
     base_remap: AttributeRemap | None = None,
     stats: EnumerationStats | None = None,
@@ -51,9 +51,7 @@ def mine_concepts(
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     stats = stats if stats is not None else EnumerationStats()
 
-    pre, remap, merge = preprocess(
-        ctx, min_support, sort_attributes=sort_attributes, merge_rows=merge_rows
-    )
+    pre, remap, merge = preprocess(ctx, min_support, sort_attributes=sort_attributes)
     full_remap = compose_remaps(base_remap, remap) if base_remap is not None else remap
 
     inspector = None

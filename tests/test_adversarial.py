@@ -2,10 +2,11 @@
 
 Staircases (row i = {1..i}) have only n concepts but about n^2/2 canonicity
 failures, contranominal scales (row i = all attributes but i) have all 2^n
-attribute sets as concepts, duplicate-heavy weighted rows exercise row
-merging together with caller-given weights, and a single very wide row gives
-every node thousands of live attributes.  Every engine must agree, and agree
-with the exhaustive oracle where the context has at most 24 attributes.
+attribute sets as concepts, duplicate-heavy weighted rows exercise
+caller-given weights on both sides of preprocessing's row-merge rule, and a
+single very wide row gives every node thousands of live attributes.  Every
+engine must agree, and agree with the exhaustive oracle where the context has
+at most 24 attributes.
 """
 
 import inspect
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from conceptmine import FormalContext, enumerate_naive, mine_concepts
+from conceptmine import FormalContext, enumerate_naive, mine_concepts, preprocess
 from conceptmine.fptree import DEFAULT_DENSE_WIDTH
 
 from conftest import concept_set
@@ -40,17 +41,20 @@ def contranominal(n: int) -> FormalContext:
     return FormalContext([[a for a in range(1, n + 1) if a != i] for i in range(1, n + 1)])
 
 
-def duplicate_heavy(seed: int) -> FormalContext:
+def duplicate_heavy(seed: int, scattered: int = 0) -> FormalContext:
+    """400 weighted rows drawn from 8 patterns, the last ``scattered`` of them
+    random attribute sets instead."""
     rng = random.Random(seed)
     patterns = [sorted(rng.sample(range(1, 13), rng.randint(1, 8))) for _ in range(8)]
-    rows = [patterns[min(rng.randrange(8), rng.randrange(8))] for _ in range(400)]
+    rows = [patterns[min(rng.randrange(8), rng.randrange(8))] for _ in range(400 - scattered)]
+    rows += [sorted(rng.sample(range(1, 13), rng.randint(1, 8))) for _ in range(scattered)]
     return FormalContext(rows, weights=[rng.randint(1, 9) for _ in rows], num_attributes=12)
 
 
-def assert_engines_agree(ctx, supports, want, **options):
+def assert_engines_agree(ctx, supports, want):
     for s in supports:
         for algorithm, engine_options in ENGINES:
-            mined = mine_concepts(ctx, s, algorithm=algorithm, **engine_options, **options)
+            mined = mine_concepts(ctx, s, algorithm=algorithm, **engine_options)
             got = concept_set(mined)
             assert got == want(s), (algorithm, engine_options, s)
 
@@ -93,17 +97,19 @@ def test_contranominal_scale_all_engines():
     assert_engines_agree(ctx, (0, 1, 4), lambda s: {c for c in full if c[1] >= s})
 
 
-@pytest.mark.parametrize("merge_rows", [True, False])
-def test_duplicate_heavy_weighted_all_engines(merge_rows):
+@pytest.mark.parametrize("merges", [True, False])
+def test_duplicate_heavy_weighted_all_engines(merges):
+    # Preprocessing merges 400 rows of 8 patterns; with 300 of them scattered,
+    # it keeps every object's row and weight, the 100 equal-pattern rows too.
     for seed in range(3):
-        ctx = duplicate_heavy(seed)
+        ctx = duplicate_heavy(seed, scattered=0 if merges else 300)
+        pre, _, _ = preprocess(ctx, 0)
+        assert (pre.num_objects < ctx.num_objects) == merges
+        assert len(ctx.distinct_rows) < ctx.num_objects
         full = concept_set(enumerate_naive(ctx, 0))
         total = ctx.total_weight
         assert_engines_agree(
-            ctx,
-            (0, 1, total // 10, total // 2),
-            lambda s: {c for c in full if c[1] >= s},
-            merge_rows=merge_rows,
+            ctx, (0, 1, total // 10, total // 2), lambda s: {c for c in full if c[1] >= s}
         )
 
 

@@ -152,7 +152,8 @@ def test_cbo_equals_the_list_scan_reference(with_extents):
 @pytest.mark.parametrize("with_extents", [False, True])
 def test_cbo_equals_the_list_scan_reference_on_preprocessed_contexts(with_extents):
     # The CLI mines preprocessed contexts: identical rows merged into one
-    # heavier row, rows in descending weight, attributes by cardinality.
+    # heavier row where that halves the rows, rows in descending weight,
+    # attributes by cardinality.
     seen = set()
     for seed in range(60):
         for ctx in (weighted_context(seed), random_context(seed)):

@@ -365,6 +365,13 @@ def test_bench_density_above_one_exits_3(capsys):
     assert_usage_error(args, capsys, "--density")
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_repeats_below_one_exits_3(tmp_path, capsys, repeats):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    assert_usage_error(["bench", str(data), "--repeats", repeats], capsys, "--repeats")
+
+
 def test_gen_negative_attributes_exits_3(capsys):
     args = ["gen", "--seed", "1", "--objects", "4", "--attributes", "-2", "--density", "0.5"]
     assert_usage_error(args, capsys, "--attributes")

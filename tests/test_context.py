@@ -178,7 +178,7 @@ def test_parse_fimi_duplicate_heavy_matches_line_by_line_reference(seed):
         ("naive", {}),
         ("cbo", {}),
         ("lcm2", {}),
-        ("lcm2", {"pruning": False, "merge_rows": False}),
+        ("lcm2", {"pruning": False}),
         ("lcm3", {"dense_width": 0}),
         ("lcm3", {}),
     ]
@@ -228,14 +228,10 @@ def test_parse_fimi_equals_the_context_of_its_id_lists(seed):
 
     for s in (0, 1, 30, 120, 10_000):
         for sort_attributes in (True, False):
-            for merge_rows in (True, False):
-                options = (sort_attributes, merge_rows)
-                pre, _, merge = preprocess(
-                    ctx, s, sort_attributes=sort_attributes, merge_rows=merge_rows
-                )
-                want = _reference_preprocess(ctx, s, *options)
-                assert (pre.rows, pre.weights, list(merge.groups)) == want, (s, options)
-                pre.validate()
+            pre, _, merge = preprocess(ctx, s, sort_attributes=sort_attributes)
+            want = _reference_preprocess(ctx, s, sort_attributes)
+            assert (pre.rows, pre.weights, list(merge.groups)) == want, (s, sort_attributes)
+            pre.validate()
 
 
 def test_parse_fimi_peak_memory_stays_near_the_text_size():
@@ -390,8 +386,11 @@ def test_preprocess_object_sort():
     assert merge.groups == ((0,), (1,), (2,))
 
 
-def _reference_preprocess(ctx, min_support, sort_attributes, merge_rows):
-    """Rows, weights and groups of ``preprocess``, mapping and merging object by object."""
+def _reference_preprocess(ctx, min_support, sort_attributes):
+    """Rows, weights and groups of ``preprocess``, mapping and merging object by object.
+
+    Equal mapped rows merge when the distinct ones number at most half the objects.
+    """
     threshold = max(1, min_support)
     retained = [a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= threshold]
     if sort_attributes:
@@ -401,6 +400,7 @@ def _reference_preprocess(ctx, min_support, sort_attributes, merge_rows):
         (x, sorted(new[a] for a in row if a in new), w)
         for x, (row, w) in enumerate(zip(ctx.rows, ctx.weights))
     ]
+    merge_rows = 2 * len({tuple(mapped) for _, mapped, _ in kept}) <= len(kept)
     merged: dict = {}
     for x, mapped, w in kept:
         key = tuple(mapped) if merge_rows else x
@@ -411,38 +411,47 @@ def _reference_preprocess(ctx, min_support, sort_attributes, merge_rows):
 
 
 def test_preprocess_matches_object_by_object_reference():
+    # Rows from a few patterns mostly merge; with as many patterns as rows
+    # most do not, though equal rows remain.
     rng = random.Random(5)
-    for i in range(30):
-        patterns = [rng.sample(range(1, 9), rng.randint(0, 6)) for _ in range(rng.randint(1, 6))]
-        rows = [list(rng.choice(patterns)) for _ in range(rng.randint(1, 40))]
+    sides = set()
+    for i in range(60):
+        m = rng.randint(1, 40)
+        k = m if i % 4 >= 2 else rng.randint(1, 6)
+        patterns = [rng.sample(range(1, 9), rng.randint(0, 6)) for _ in range(k)]
+        rows = [list(rng.choice(patterns)) for _ in range(m)]
         if i % 2:  # fresh lists, equal rows not shared
             ctx = FormalContext(rows, weights=[rng.randint(1, 4) for _ in rows], num_attributes=8)
         else:
             ctx, _ = parse_fimi("".join(" ".join(map(str, row)) + "\n" for row in rows))
         for s in (0, 3, 8):
             for sort_attributes in (True, False):
-                for merge_rows in (True, False):
-                    options = (sort_attributes, merge_rows)
-                    pre, _, merge = preprocess(
-                        ctx, s, sort_attributes=sort_attributes, merge_rows=merge_rows
-                    )
-                    want = _reference_preprocess(ctx, s, *options)
-                    assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s, options)
-                    pre.validate()
+                pre, _, merge = preprocess(ctx, s, sort_attributes=sort_attributes)
+                want = _reference_preprocess(ctx, s, sort_attributes)
+                assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s, sort_attributes)
+                pre.validate()
+                equal_rows = len(pre.distinct_rows) < pre.num_objects
+                sides.add((pre.num_objects < ctx.num_objects, equal_rows))
+    assert sides >= {(True, False), (False, True), (False, False)}
 
 
 def test_unmerged_preprocess_equals_the_constructor_built_context():
     # Unmerged preprocessing keeps its shared mapped rows as they are; the
     # public constructor, which normalises every row again, must agree.
+    # Both corpora hold contexts on each side of the merge rule.
     contexts = [random_context(i) for i in range(40)] + [weighted_context(s) for s in range(120)]
+    unmerged_with_equal_rows = 0
     for i, ctx in enumerate(contexts):
         for s in (0, 1, 3):
-            pre, _, _ = preprocess(ctx, s, merge_rows=False)
+            pre, _, _ = preprocess(ctx, s)
             built = FormalContext(pre.rows, pre.weights, num_attributes=pre.num_attributes)
             assert pre.rows == built.rows and pre.weights == built.weights, (i, s)
             assert pre.distinct_rows == built.distinct_rows, (i, s)
             assert pre.attr_cardinality == built.attr_cardinality, (i, s)
             pre.validate()
+            if pre.num_objects == ctx.num_objects > len(pre.distinct_rows):
+                unmerged_with_equal_rows += 1
+    assert unmerged_with_equal_rows > 0
 
 
 def test_context_from_generator_of_fresh_lists():
@@ -481,11 +490,26 @@ def test_context_weights_must_be_integers():
         assert {(c.intent, c.support) for c in mined} == {((2,), 3), ((1, 2), 2)}
 
 
-def test_preprocess_no_merge_option():
-    ctx = FormalContext([[1], [1]])
-    pre, _, merge = preprocess(ctx, 0, merge_rows=False)
-    assert pre.weights == [1, 1]
-    assert merge.groups == ((0,), (1,))
+def test_preprocess_merges_only_when_that_halves_the_rows():
+    # 2 distinct rows of 4 objects, exactly half: merged, weights summed.
+    pre, _, merge = preprocess(FormalContext([[1], [2], [1], [2]]), 0, sort_attributes=False)
+    assert pre.rows == [[1], [2]]
+    assert pre.weights == [2, 2]
+    assert merge.groups == ((0, 2), (1, 3))
+    # The rule counts mapped rows: all four empty once filtering drops every attribute.
+    pre, _, merge = preprocess(FormalContext([[1], [2], [3], [4]]), 2)
+    assert pre.rows == [[]]
+    assert pre.weights == [4]
+    assert merge.groups == ((0, 1, 2, 3),)
+    # 3 distinct rows of 5 objects: one row per object, with its own weight
+    # and group, heaviest first; equal rows still share one list.
+    ctx = FormalContext([[1], [2], [1], [2], [3]], weights=[1, 2, 1, 1, 3])
+    pre, _, merge = preprocess(ctx, 0, sort_attributes=False)
+    assert pre.rows == [[3], [2], [1], [1], [2]]
+    assert pre.weights == [3, 2, 1, 1, 1]
+    assert merge.groups == ((4,), (1,), (0,), (2,), (3,))
+    assert pre.rows[2] is pre.rows[3] and pre.distinct_rows == [[3], [2], [1]]
+    pre.validate()
 
 
 def test_remap_round_trip_property():
@@ -497,15 +521,15 @@ def test_remap_round_trip_property():
 
 
 def test_weight_conservation_property():
-    # Every object is kept: empty rows, original or emptied by filtering, too.
+    # Every object is kept: empty rows, original or emptied by filtering, too,
+    # on both sides of the merge rule.
     corpus = [random_context(i) for i in range(25)] + [weighted_context(i) for i in range(120)]
     for ctx in corpus:
         for s in (0, 1, 3):
-            for merge_rows in (True, False):
-                pre, _, merge = preprocess(ctx, s, merge_rows=merge_rows)
-                assert pre.total_weight == ctx.total_weight
-                objects = [x for group in merge.groups for x in group]
-                assert sorted(objects) == list(range(ctx.num_objects))
+            pre, _, merge = preprocess(ctx, s)
+            assert pre.total_weight == ctx.total_weight
+            objects = [x for group in merge.groups for x in group]
+            assert sorted(objects) == list(range(ctx.num_objects))
 
 
 def test_cardinality_monotone_after_sort():

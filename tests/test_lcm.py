@@ -10,6 +10,7 @@ from conceptmine import (
     EnumerationStats,
     FormalContext,
     PruneRuleStore,
+    cbo_enumerate,
     closure,
     create_conditional_db,
     down,
@@ -26,7 +27,7 @@ from conceptmine import (
 from conceptmine import lcm as lcm_module
 from conceptmine.bits import RowSet, set_bits
 
-from conftest import K1_WORKING_CONCEPTS, concept_set, random_context, weighted_context
+from conftest import K1_ROWS, K1_WORKING_CONCEPTS, concept_set, random_context, weighted_context
 
 
 def k1_root_db():
@@ -415,18 +416,28 @@ def test_lcm2_extents(k1):
     assert by_intent[(1, 2, 3, 4)] == ()
 
 
-def test_preprocessing_options_never_change_the_concept_set():
-    import itertools
+@pytest.mark.parametrize("engine", [enumerate_naive, cbo_enumerate, lcm2_enumerate, lcm3_enumerate])
+def test_engines_reject_a_negative_min_support(engine):
+    # At -1 an engine that tested ``min_support == 0`` would drop the support-0 bottom.
+    ctx = FormalContext([[1, 2], [2, 3], [1]])
+    with pytest.raises(ValueError, match="min_support must be non-negative"):
+        list(engine(ctx, -1))
 
-    for i in (0, 5, 9, 14):
-        ctx = random_context(i)
+
+def test_preprocessing_options_never_change_the_concept_set():
+    # Preprocessing merges random_context 0, 5 and 9 and weighted_context 7;
+    # it keeps one row per object of random_context 14 (equal rows included)
+    # and of K1.
+    contexts = [random_context(i) for i in (0, 5, 9, 14)]
+    contexts += [weighted_context(7), FormalContext(K1_ROWS)]
+    merged = [preprocess(ctx, 1)[0].num_objects < ctx.num_objects for ctx in contexts]
+    assert merged == [True, True, True, False, True, False]
+    for i, ctx in enumerate(contexts):
         oracle = concept_set(enumerate_naive(ctx, 1))
-        for sort_attrs, merge in itertools.product((True, False), repeat=2):
+        for sort_attrs in (True, False):
             for algorithm in ("cbo", "lcm2", "lcm3"):
                 got = concept_set(
-                    mine_concepts(
-                        ctx, 1, algorithm=algorithm, sort_attributes=sort_attrs, merge_rows=merge
-                    )
+                    mine_concepts(ctx, 1, algorithm=algorithm, sort_attributes=sort_attrs)
                 )
-                assert got == oracle, (i, sort_attrs, merge, algorithm)
+                assert got == oracle, (i, sort_attrs, algorithm)
 
