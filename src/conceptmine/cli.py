@@ -126,7 +126,7 @@ def _bench_arguments(bench: _Parser) -> None:
     bench.add_argument("--min-support-ratio", type=float, default=None)
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--dense-width", default=None)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
     bench.add_argument("--objects", type=int, default=None)
     bench.add_argument("--attributes", type=int, default=None)
     bench.add_argument("--density", type=float, default=None)
@@ -340,13 +340,20 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
     if args.input is not None:
+        for name in ("objects", "attributes", "density", "seed"):
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--{name} applies only when bench generates its data")
         ctx, remap = _load_context(args.input, args.format)
     else:
         if args.objects is None or args.attributes is None or args.density is None:
             raise _UsageError("bench needs an input file or --objects/--attributes/--density")
+        if args.seed is None:
+            args.seed = 0
         ctx = _generate_from_args(args)
         remap = None
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise _UsageError(f"--algorithms names no engine: {args.algorithms!r}")
     for a in algorithms:
         if a not in ALGORITHMS:
             raise _UsageError(f"unknown algorithm {a!r} in --algorithms")

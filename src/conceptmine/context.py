@@ -14,7 +14,11 @@ Ingest costs the distinct rows, not the objects: the FIMI parser counts its
 lines once, parses each distinct line once, and makes each distinct id set
 one list that all its lines share as their row; the cardinalities come from
 the line multiplicities.  Preprocessing maps each distinct row once and,
-when it merges them, fills the groups in one pass over the objects.
+when it merges them, fills the groups in one pass over the objects; as it
+keeps every object with its weight, it reads the cardinalities off its
+input.  Only the constructor, for input from outside, checks and counts
+rows; the package builds its own contexts unchecked through
+``_of_normal_rows``, and only ``validate()`` recounts a built context.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ class FormalContext:
     Invariants: every row is strictly ascending with ids in 1..num_attributes,
     every weight is an int >= 1, and ``attr_cardinality[y]`` is the weighted
     number of rows containing ``y`` (index 0 is unused padding).  Equal rows
-    share one list object, so rows must not be modified in place, and
-    ``distinct_rows`` holds each row object once, in order of first occurrence.
+    share one list object, however they were written, so rows must not be
+    modified in place, and ``distinct_rows`` holds each row object once, in
+    order of first occurrence (derived on first use unless the builder set it).
     """
 
     def __init__(
@@ -47,16 +52,22 @@ class FormalContext:
         object_names: Sequence[str] | None = None,
         attr_names: Sequence[str] | None = None,
     ):
-        # Equal input rows normalise to one shared list, so the id checks and the
-        # cardinality count run once per distinct row.
-        distinct: dict[tuple, list[int]] = {}
+        # Equal rows normalise to one shared list, however they are written, so
+        # each distinct row is normalised, checked and counted once.
+        normal: dict[tuple, list[int]] = {}  # a row as given, or its ids ascending -> its list
+        distinct: list[list[int]] = []
         shared: list[list[int]] = []
         for row in rows:
             key = tuple(row)
-            normal = distinct.get(key)
-            if normal is None:
-                normal = distinct[key] = sorted(set(key))
-            shared.append(normal)
+            same = normal.get(key)
+            if same is None:
+                ids = tuple(sorted(set(key)))
+                same = normal.get(ids)
+                if same is None:
+                    same = normal[ids] = list(ids)
+                    distinct.append(same)
+                normal[key] = same
+            shared.append(same)
         if weights is None:
             weights = [1] * len(shared)
         else:
@@ -69,68 +80,57 @@ class FormalContext:
                 raise ValueError("weights and rows differ in length")
             if weights and min(weights) < 1:
                 raise ValueError("row weights must be positive")
-        summed: dict[int, int] = {}  # id of a row in ``distinct`` -> its total weight
-        for row, w in zip(shared, weights):
-            summed[id(row)] = summed.get(id(row), 0) + w
-        unique = list(distinct.values())
-        totals = [summed[id(row)] for row in unique]
-        self._store(shared, weights, unique, totals, num_attributes, object_names, attr_names)
-
-    @classmethod
-    def _of_normal_rows(
-        cls,
-        rows: list[list[int]],
-        weights: list[int],
-        distinct_rows: list[list[int]],
-        distinct_weights: Iterable[int],
-        num_attributes: int,
-    ) -> "FormalContext":
-        """A context that keeps ``rows`` and ``weights`` as they are, without a copy.
-
-        The rows must be normal already: strictly ascending, equal rows one
-        shared list, and ``distinct_rows`` each row object once, in order of
-        first occurrence, with the total weight of its objects aligned in
-        ``distinct_weights``; the weights must be positive ints.  The checks
-        and the cardinality count then need no pass over the objects.
-        """
-        ctx = cls.__new__(cls)
-        ctx._store(rows, weights, distinct_rows, distinct_weights, num_attributes, None, None)
-        return ctx
-
-    def _store(
-        self,
-        rows: list[list[int]],
-        weights: list[int],
-        distinct_rows: list[list[int]],
-        distinct_weights: Iterable[int],
-        num_attributes: int | None,
-        object_names: Sequence[str] | None,
-        attr_names: Sequence[str] | None,
-    ) -> None:
-        """Check the distinct rows, count the cardinalities from them, and set every field."""
-        highest = max((row[-1] for row in distinct_rows if row), default=0)
+        highest = max((row[-1] for row in distinct if row), default=0)
         if num_attributes is None:
             num_attributes = highest
         elif highest > num_attributes:
             raise ValueError(f"attribute id {highest} exceeds declared count {num_attributes}")
-        lowest = min((row[0] for row in distinct_rows if row), default=1)
+        lowest = min((row[0] for row in distinct if row), default=1)
         if lowest < 1:
             raise ValueError(f"attribute id {lowest} out of range (ids start at 1)")
+        summed: dict[int, int] = {}  # id of a distinct row -> its total weight
+        for row, w in zip(shared, weights):
+            summed[id(row)] = summed.get(id(row), 0) + w
         card = [0] * (num_attributes + 1)
-        for row, w in zip(distinct_rows, distinct_weights):
+        for row in distinct:
+            w = summed[id(row)]
             for a in row:
                 card[a] += w
-        self.rows: list[list[int]] = rows
+        self.rows: list[list[int]] = shared
         self.weights: list[int] = weights
-        self.distinct_rows: list[list[int]] = distinct_rows
         self.num_attributes = num_attributes
         self.attr_cardinality = card
+        self.distinct_rows = distinct
         self.object_names = list(object_names) if object_names is not None else None
         self.attr_names = list(attr_names) if attr_names is not None else None
+
+    @classmethod
+    def _of_normal_rows(
+        cls, rows: list[list[int]], weights: list[int], attr_cardinality: list[int]
+    ) -> "FormalContext":
+        """A context that keeps its arguments as they are, without a copy, check or count.
+
+        The caller vouches for every invariant: the rows strictly ascending
+        with ids in 1..len(attr_cardinality)-1, equal rows one shared list,
+        the weights positive ints, and ``attr_cardinality`` their weighted
+        column counts.
+        """
+        ctx = cls.__new__(cls)
+        ctx.rows = rows
+        ctx.weights = weights
+        ctx.num_attributes = len(attr_cardinality) - 1
+        ctx.attr_cardinality = attr_cardinality
+        ctx.object_names = ctx.attr_names = None
+        return ctx
 
     @property
     def num_objects(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def distinct_rows(self) -> list[list[int]]:
+        """Each row object of ``rows`` once, in order of first occurrence."""
+        return list(dict(zip(map(id, self.rows), self.rows)).values())
 
     @cached_property
     def total_weight(self) -> int:
@@ -198,6 +198,7 @@ class FormalContext:
                 card[a] += w
         assert card == self.attr_cardinality, "stored cardinalities disagree with rescan"
         assert list(map(id, self.distinct_rows)) == list(dict.fromkeys(map(id, self.rows)))
+        assert len(self.distinct_rows) == len(set(map(tuple, self.rows))), "equal rows unshared"
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FormalContext({self.num_objects} objects, {self.num_attributes} attributes)"
@@ -375,10 +376,13 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
             tally = tallies[raw] = [row, 0]
         tally[1] += multiplicity[line]
         row_of[line] = tally[0]
+    card = [0] * (len(ordered) + 1)
+    for row, count in tallies.values():
+        for a in row:
+            card[a] += count
     rows = list(map(row_of.__getitem__, lines))
-    distinct = [row for row, _ in tallies.values()]
-    counts = [count for _, count in tallies.values()]
-    ctx = FormalContext._of_normal_rows(rows, [1] * len(rows), distinct, counts, len(ordered))
+    ctx = FormalContext._of_normal_rows(rows, [1] * len(rows), card)
+    ctx.distinct_rows = [row for row, _ in tallies.values()]
     return ctx, AttributeRemap(tuple(ordered), old_to_new)
 
 
@@ -472,6 +476,7 @@ def preprocess(
     when that leaves at most half as many rows as objects; otherwise each
     object keeps its row and weight.  Rows are ordered by descending weight,
     and the returned remap/merge translate results back to the input ids.
+    The cardinalities are the input's, read through the remap: no recount.
     """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
@@ -514,18 +519,8 @@ def preprocess(
     order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
     rows = list(map(rows.__getitem__, order))
     weights = list(map(weights.__getitem__, order))
-    if merged:
-        new_ctx = FormalContext._of_normal_rows(rows, weights, rows, weights, len(retained))
-        merge = ObjectMerge(tuple(tuple(groups[r]) for r in order))
-    else:
-        # The mapped rows are normal and shared already: each distinct one is
-        # keyed by id, in order of first occurrence, with its weights summed.
-        distinct = dict(zip(map(id, rows), rows))
-        totals = dict.fromkeys(distinct, 0)
-        for key, w in zip(map(id, rows), weights):
-            totals[key] += w
-        new_ctx = FormalContext._of_normal_rows(
-            rows, weights, list(distinct.values()), totals.values(), len(retained)
-        )
-        merge = ObjectMerge(tuple(zip(order)))
+    # Every object is kept with its weight, so each retained attribute keeps its cardinality.
+    card = [0, *(ctx.attr_cardinality[a] for a in retained)]
+    new_ctx = FormalContext._of_normal_rows(rows, weights, card)
+    merge = ObjectMerge(tuple(tuple(groups[r]) for r in order) if merged else tuple(zip(order)))
     return new_ctx, remap, merge

@@ -499,6 +499,36 @@ def test_bench_dense_width_without_lcm3_exits_3(tmp_path, capsys):
     assert run_cli(args) == 0
 
 
+@pytest.mark.parametrize("algorithms", [",", "", " , "])
+def test_bench_empty_algorithm_list_exits_3(tmp_path, capsys, algorithms):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    assert run_cli(["bench", str(data), "--algorithms", algorithms]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--algorithms" in err  # no header-only CSV
+
+
+@pytest.mark.parametrize(
+    "option", [["--objects", "40"], ["--attributes", "10"], ["--density", "0.2"], ["--seed", "0"]]
+)
+def test_bench_generator_option_with_input_file_exits_3(tmp_path, capsys, option):
+    # The input file is mined; a generator option would be silently ignored.
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    assert_usage_error(["bench", str(data), *option], capsys, option[0])
+
+
+def test_bench_generates_with_seed_0_by_default(capsys):
+    args = ["bench", "--algorithms", "lcm2", "--objects", "40", "--attributes", "10"]
+    args += ["--density", "0.3", "--min-support", "2", "--repeats", "1"]
+    counts = []
+    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+        assert run_cli(args + seed) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        counts.append((row[2], row[3:]))
+    assert counts[0] == counts[1] != counts[2]
+
+
 def test_bench_function_checks_digests(k1):
     rows = bench(k1, None, ["cbo", "lcm2", "lcm3"], 1, repeats=1)
     assert [r["algorithm"] for r in rows] == ["cbo", "lcm2", "lcm3"]

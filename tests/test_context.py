@@ -467,6 +467,19 @@ def test_context_from_generator_of_fresh_lists():
     ctx.validate()
 
 
+def test_equal_rows_share_one_list_however_written():
+    ctx = FormalContext([[1, 2], [2, 1], [1, 1, 2]])
+    assert ctx.rows == [[1, 2]] * 3
+    assert ctx.rows[0] is ctx.rows[1] is ctx.rows[2]
+    assert ctx.distinct_rows == [[1, 2]]
+    assert ctx.attr_cardinality == [0, 3, 3]
+    ctx.validate()
+    # validate() refuses equal rows that are separate lists.
+    unshared = FormalContext._of_normal_rows([[1, 2], [1, 2]], [1, 1], [0, 2, 2])
+    with pytest.raises(AssertionError, match="unshared"):
+        unshared.validate()
+
+
 def test_context_rejects_bad_rows_and_weights():
     with pytest.raises(ValueError, match="out of range"):
         FormalContext([[1], [0, 1], [1]])
