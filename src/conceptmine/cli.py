@@ -72,7 +72,13 @@ def generate_context(
         raise ValueError("density must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
     incidence = rng.random((num_objects, num_attributes)) < density
-    rows = [(np.flatnonzero(line) + 1).tolist() for line in incidence]
+    # One nonzero pass over the whole table gives the incidences in row-major
+    # order; row x's run ends before the first one at or past position
+    # (x + 1) * num_attributes.
+    flat = np.flatnonzero(incidence)
+    ids = (flat % num_attributes + 1).tolist()
+    ends = np.searchsorted(flat, np.arange(1, num_objects + 1) * num_attributes).tolist()
+    rows = list(map(ids.__getitem__, map(slice, [0, *ends], ends)))
     return FormalContext(rows, num_attributes=num_attributes)
 
 
@@ -195,6 +201,8 @@ def _read_input(path: str) -> str:
     An undecodable byte is a :class:`ParseError` on the line that holds it.
     """
     if path == "-":
+        if sys.stdin is None:  # the process started with standard input closed
+            raise OSError("standard input is closed")
         if not hasattr(sys.stdin, "buffer"):  # a text stream put in its place is decoded already
             return sys.stdin.read()
         data = sys.stdin.buffer.read()

@@ -173,13 +173,19 @@ class FormalContext:
         """Weighted size of ``rows`` within each attribute's column, and of ``rows`` itself.
 
         Plane k of the weights contributes the popcount of its rows ANDed with
-        a column, shifted left by k.
+        a column, shifted left by k.  When every weight is 1 there is one
+        plane, and each attribute costs one AND and one popcount.  Bits of
+        ``rows`` beyond the last object count nothing.
         """
+        planes = self.weight_planes
         columns = self.columns
+        if len(planes) == 1:  # every weight is 1
+            part = rows & planes[0]
+            return [(part & columns[a]).bit_count() for a in attrs], part.bit_count()
         cols = [columns[a] for a in attrs]
         counts = [0] * len(cols)
         weight = 0
-        for k, plane in enumerate(self.weight_planes):
+        for k, plane in enumerate(planes):
             part = rows & plane  # the rows whose weight has bit k set
             if part:
                 weight += part.bit_count() << k
@@ -490,12 +496,14 @@ def preprocess(
     remap = AttributeRemap(tuple(retained), old_to_new)
 
     # Each distinct row is mapped once, and gets the group of its mapped row.
-    # ``ctx`` holds every row, so rows are keyed by id.
+    # ``ctx`` holds every row, so rows are keyed by id.  A removed attribute
+    # maps to None and new ids start at 1, so ``filter(None, ...)`` drops
+    # exactly the removed ones, in C.
     group_of: dict[int, int] = {}  # id of a row of ctx -> its group
     mapped_group: dict[tuple[int, ...], int] = {}
     rows: list[list[int]] = []
     for row in ctx.distinct_rows:
-        mapped = tuple(sorted(old_to_new[a] for a in row if a in old_to_new))
+        mapped = tuple(sorted(filter(None, map(old_to_new.get, row))))
         at = group_of[id(row)] = mapped_group.setdefault(mapped, len(rows))
         if at == len(rows):
             rows.append(list(mapped))

@@ -6,11 +6,14 @@ current extent, an attribute belongs to the closure exactly when its weighted
 frequency equals the extent weight.  The databases are vertical: an extent is
 a row bitset, an attribute's frequency is the weighted popcount of the extent
 ANDed with its column (:meth:`FormalContext.column_weights`), and an attribute
-is full exactly when its column covers the extent.  Each node's conditional
-database is its extent plus its attributes, held once as an ascending tuple
-and split at the anchor into suffix candidates and the prefix attributes that
-later canonicity checks need.  As in LCM ver. 2, a node counts only its tail:
-the attributes of its parent's database at or above its anchor.  Those counts
+is full exactly when its column covers the extent.  A context whose weights
+are all 1, as every unmerged input is, counts with one AND and one popcount
+per attribute; only merged rows pay the loop over the weight bit-planes.
+Each node's conditional database is its extent plus its attributes, held
+once as an ascending tuple and split at the anchor into suffix candidates and
+the prefix attributes that later canonicity checks need.  As in LCM ver. 2, a
+node counts only its tail: the attributes of its parent's database at or
+above its anchor.  Those counts
 give the closure and the suffix, with full, empty and infrequent attributes
 dropped.  The attributes below the anchor are carried into the prefix
 uncounted: the parent's canonicity test has just shown that none of them

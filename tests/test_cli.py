@@ -248,6 +248,15 @@ def test_mine_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == ["1 3 (2)", "2 3 (2)", "3 (4)"]
 
 
+@pytest.mark.parametrize("command", [["mine", "-"], ["bench", "-"]])
+def test_closed_stdin_is_an_io_error(monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdin", None)  # what ``python -m conceptmine mine - <&-`` sees
+    assert run_cli(command) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "conceptmine: standard input is closed\n"
+
+
 def test_mine_stats_json_keys(tmp_path):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
@@ -331,6 +340,23 @@ def test_generate_density_extremes():
     full = generate_context(3, 5, 4, 1.0)
     assert all(row == [1, 2, 3, 4] for row in full.rows)
     assert concept_set(mine_concepts(full, 0)) == {((1, 2, 3, 4), 5)}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 424242])
+@pytest.mark.parametrize(
+    "shape", [(0, 5, 0.5), (6, 0, 0.5), (9, 4, 0.0), (9, 4, 1.0), (1, 30, 0.3), (40, 13, 0.2)]
+)
+def test_generate_context_rows_equal_the_per_row_construction(seed, shape):
+    import numpy as np
+
+    num_objects, num_attributes, density = shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    incidence = rng.random((num_objects, num_attributes)) < density
+    want = [(np.flatnonzero(line) + 1).tolist() for line in incidence]
+    ctx = generate_context(seed, num_objects, num_attributes, density)
+    assert ctx.rows == want
+    assert ctx.num_objects == num_objects and ctx.num_attributes == num_attributes
+    assert all(type(a) is int for row in ctx.rows for a in row)
 
 
 def test_generate_same_seed_same_context():

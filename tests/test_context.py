@@ -15,6 +15,7 @@ from conceptmine import (
     parse_fimi,
     preprocess,
 )
+from conceptmine.bits import set_bits
 from conceptmine.context import AttributeRemap
 
 from conftest import K1_ROWS, random_context, weighted_context
@@ -632,6 +633,44 @@ def test_weight_of_matches_down_property():
         for a, b in zip(range(1, pre.num_attributes), range(2, pre.num_attributes + 1)):
             rows = pre.columns[a] & pre.columns[b]
             assert pre.weight_of(rows) == down(pre, (a, b)).weighted_size
+
+
+def _counted_contexts():
+    """Unit-weight and weighted contexts, as built and as preprocessed (merged or not)."""
+    duplicated = FormalContext([[1, 2], [2, 3], [1, 2], [3], [1, 2], [2, 3], [], [3]] * 3)
+    contexts = [
+        FormalContext([], num_attributes=0),
+        FormalContext([], num_attributes=3),
+        FormalContext([[]] * 4, num_attributes=2),
+        FormalContext(K1_ROWS),
+        FormalContext(K1_ROWS, weights=[1, 2, 3, 4]),
+        duplicated,
+    ]
+    contexts += [random_context(i) for i in range(30)]
+    contexts += [weighted_context(seed) for seed in range(60)]
+    contexts += [preprocess(ctx, 0)[0] for ctx in contexts[3:]]
+    return contexts
+
+
+def test_column_weights_equal_the_per_row_sums():
+    rng = random.Random(5)
+    planes = set()
+    for ctx in _counted_contexts():
+        m, n = ctx.num_objects, ctx.num_attributes
+        planes.add(min(len(ctx.weight_planes), 2))
+        everything = (1 << m) - 1
+        row_sets = [0, everything, *ctx.columns[1:], *(rng.getrandbits(m) for _ in range(4))]
+        # Bits past the last object belong to no row and weigh nothing.
+        row_sets += [rows | rng.getrandbits(8) << m for rows in row_sets[:4]]
+        attr_lists = [(), tuple(range(1, n + 1)), tuple(rng.sample(range(1, n + 1), n // 2))]
+        for rows in row_sets:
+            members = [x for x in set_bits(rows) if x < m]
+            weight = sum(ctx.weights[x] for x in members)
+            assert ctx.weight_of(rows) == weight
+            for attrs in attr_lists:
+                counts = [sum(ctx.weights[x] for x in members if a in ctx.rows[x]) for a in attrs]
+                assert ctx.column_weights(rows, attrs) == (counts, weight), (ctx.rows, rows, attrs)
+    assert planes == {0, 1, 2}  # no rows, every weight 1, and weights above 1
 
 
 def test_weight_of_empty_context():
