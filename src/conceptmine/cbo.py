@@ -1,10 +1,12 @@
-"""Close-by-One enumeration with the prefix canonicity test.
+"""Close-by-One enumeration with the prefix canonicity test, on the mirrored order.
 
-Each closed set is generated from exactly one parent: after adding attribute i
-and closing, the result is kept only when no attribute below i sneaked into
-the closure.  Children are explored in ascending attribute order, which gives
-reproducible traces; the order does not affect the emitted set.  Each node is
-a frame on the explicit stack of :func:`conceptmine.derive.depth_first`.
+Each closed set is generated from exactly one parent: after adding attribute y
+and closing, the result is kept only when no attribute above y sneaked into
+the closure; its children add the attributes below y, in ascending order.
+This is CbO on attribute a read as n + 1 - a, LCM's order: at min support 1 or
+more it visits the nodes that ``lcm3`` visits on FP-trees from the root
+(``dense_width=None``).  Each node is a frame on the explicit stack of
+:func:`conceptmine.derive.depth_first`.
 
 As in the paper, an extent is a set of objects: a child's extent is the
 intersection A ∩ {i}↓ of its parent's extent with attribute i's column, and
@@ -55,13 +57,15 @@ def cbo_enumerate(
         D = full
         for x in extent:
             D &= masks[x]
-        below = (1 << (y - 1)) - 1 if y else 0  # attributes strictly under y
-        if D & below != B & below:
+        above = full >> y << y  # attributes strictly above y
+        if D & above != B & above:
             st.canonicity_failures += 1
             return
         st.concepts_emitted += 1
         yield Concept(ids_of(D), extent_weight, tuple(sorted(extent)) if with_extents else None)
-        for i in range(y + 1, n + 1):
+        # Any order visits the same nodes; ascending emits the largest extents while the
+        # caller's concept list is short (last, their translation raises the peak memory).
+        for i in range(1, y):
             if D >> (i - 1) & 1:
                 continue
             child = extent & columns[i]
@@ -75,4 +79,4 @@ def cbo_enumerate(
                 continue
             yield generate(child, child_weight, D | (1 << (i - 1)), i)
 
-    yield from depth_first(generate(frozenset(range(ctx.num_objects)), ctx.total_weight, 0, 0))
+    yield from depth_first(generate(frozenset(range(ctx.num_objects)), ctx.total_weight, 0, n + 1))

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .context import FormalContext, parse_cxt, parse_fimi
 from .derive import EnumerationStats
@@ -43,6 +43,8 @@ def _stdout():
     Standard output is then pointed at the null device, so that the flush
     at interpreter exit has nowhere to fail and prints nothing.
     """
+    if sys.stdout is None:  # the process started with standard output closed
+        raise OSError("standard output is closed")
     try:
         yield sys.stdout
         sys.stdout.flush()
@@ -51,6 +53,14 @@ def _stdout():
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise _ReaderGone from None
+
+
+def _say(message: str) -> None:
+    """Write one line to standard error; drop it if standard error is closed or broken."""
+    if sys.stderr is not None:  # None when the process started with it closed
+        with suppress(OSError):
+            sys.stderr.write(message + "\n")
+            sys.stderr.flush()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +121,6 @@ def _mine_arguments(mine: _Parser) -> None:
     )
     mine.add_argument("--with-extents", action="store_true", help="append object ids per itemset")
     mine.add_argument("--sorted", action="store_true", help="sort output lines by itemset")
-    mine.add_argument("--no-attr-sort", action="store_true")
     mine.add_argument("--output", "-o", default=None, help="output file (default stdout)")
     mine.add_argument("--stats", default=None, help="write run statistics as JSON to this file")
 
@@ -247,7 +256,6 @@ def _cmd_mine(args) -> int:
         algorithm=args.algorithm,
         pruning=not args.no_pruning,
         dense_width=_resolve_dense_width(args.dense_width),
-        sort_attributes=not args.no_attr_sort,
         with_extents=args.with_extents,
         base_remap=remap,
         stats=stats,
@@ -264,12 +272,8 @@ def _cmd_mine(args) -> int:
     # One line at a time, so that no copy of the whole output is ever held.
     lines = (_format_concept(c, args.with_extents) + "\n" for c in concepts)
     try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
-                out.writelines(lines)
-        else:
-            with _stdout() as out:
-                out.writelines(lines)
+        with open(args.output, "w", encoding="utf-8") if args.output else _stdout() as out:
+            out.writelines(lines)
     except BaseException:
         if stats_created:
             os.remove(args.stats)
@@ -282,19 +286,15 @@ def _cmd_mine(args) -> int:
         with open(args.stats, "w", encoding="utf-8") as out:
             out.write(json.dumps(record, indent=2) + "\n")
     total_support = sum(c.support for c in concepts)
-    print(f"{len(concepts)} concepts, total support {total_support}", file=sys.stderr)
+    _say(f"{len(concepts)} concepts, total support {total_support}")
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
     ctx = _generate_from_args(args)
     payload = "".join(" ".join(str(a) for a in row) + "\n" for row in ctx.rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
-            out.write(payload)
-    else:
-        with _stdout() as out:
-            out.write(payload)
+    with open(args.output, "w", encoding="utf-8") if args.output else _stdout() as out:
+        out.write(payload)
     return EXIT_OK
 
 
@@ -368,18 +368,14 @@ def _cmd_bench(args) -> int:
     if args.dense_width is not None and "lcm3" not in algorithms:
         raise _UsageError("--dense-width applies only when --algorithms holds lcm3")
     min_support = _resolve_support(args, ctx.num_objects)
-    try:
-        rows = bench(
-            ctx,
-            remap,
-            algorithms,
-            min_support,
-            repeats=args.repeats,
-            dense_width=_resolve_dense_width(args.dense_width),
-        )
-    except DigestMismatchError as exc:
-        print(f"conceptmine: {exc}", file=sys.stderr)
-        return EXIT_DIGEST
+    rows = bench(
+        ctx,
+        remap,
+        algorithms,
+        min_support,
+        repeats=args.repeats,
+        dense_width=_resolve_dense_width(args.dense_width),
+    )
     import csv  # here, not at module level, so that mining never loads it
 
     fields = ["algorithm", "wall_ms_median", "concepts", *EnumerationStats.__slots__]
@@ -396,24 +392,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        if args.command == "mine":
-            return _cmd_mine(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_bench(args)
+        return {"mine": _cmd_mine, "gen": _cmd_gen, "bench": _cmd_bench}[args.command](args)
     except _UsageError as exc:
-        print(f"conceptmine: {exc}", file=sys.stderr)
+        _say(f"conceptmine: {exc}")
         return EXIT_USAGE
     except ParseError as exc:
-        print(f"conceptmine: parse error: {exc}", file=sys.stderr)
+        _say(f"conceptmine: parse error: {exc}")
         return EXIT_PARSE
     except (CapacityError, ConfigurationError) as exc:
-        print(f"conceptmine: {exc}", file=sys.stderr)
+        _say(f"conceptmine: {exc}")
         return EXIT_CAPACITY
+    except DigestMismatchError as exc:
+        _say(f"conceptmine: {exc}")
+        return EXIT_DIGEST
     except _ReaderGone:
         return EXIT_PIPE
     except OSError as exc:
-        print(f"conceptmine: {exc}", file=sys.stderr)
+        _say(f"conceptmine: {exc}")
         return EXIT_IO
 
 

@@ -31,7 +31,6 @@ def mine_concepts(
     algorithm: str = "lcm2",
     pruning: bool = True,
     dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
-    sort_attributes: bool = True,
     with_extents: bool = False,
     base_remap: AttributeRemap | None = None,
     stats: EnumerationStats | None = None,
@@ -40,6 +39,8 @@ def mine_concepts(
 ) -> list[Concept]:
     """Mine all closed attribute sets of ``ctx`` with weighted support >= min_support.
 
+    Every engine mines the context as :func:`preprocess` orders it, by
+    descending attribute cardinality; no option changes that order.
     Returns concepts with intents in the caller's original attribute ids
     (through ``base_remap`` when the context itself was densified at parse
     time) and extents, when requested, as original object indices.
@@ -51,7 +52,7 @@ def mine_concepts(
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     stats = stats if stats is not None else EnumerationStats()
 
-    pre, remap, merge = preprocess(ctx, min_support, sort_attributes=sort_attributes)
+    pre, remap, merge = preprocess(ctx, min_support)
     full_remap = compose_remaps(base_remap, remap) if base_remap is not None else remap
 
     inspector = None

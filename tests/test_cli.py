@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 import math
@@ -257,6 +258,44 @@ def test_closed_stdin_is_an_io_error(monkeypatch, capsys, command):
     assert err == "conceptmine: standard input is closed\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mine", "k1.dat"],
+        ["bench", "k1.dat"],
+        ["gen", "--seed", "1", "--objects", "3", "--attributes", "3", "--density", "0.5"],
+    ],
+)
+def test_closed_stdout_is_an_io_error(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "k1.dat").write_text(K1_TEXT)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", None)  # what ``python -m conceptmine mine FILE >&-`` sees
+    assert run_cli(command) == 1
+    assert capsys.readouterr().err == "conceptmine: standard output is closed\n"
+
+
+class _BadStream(io.StringIO):
+    """A standard error whose descriptor is closed: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _BadStream()], ids=["none", "ebadf"])
+def test_closed_stderr_changes_no_exit_code(tmp_path, monkeypatch, capsys, stderr):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run_cli(["mine", str(data), "--min-support", "1", "--sorted", "-o", str(out)]) == 0
+    assert out.read_text() == "1 2 3 (1)\n1 3 (2)\n2 3 (2)\n3 (4)\n3 4 (1)\n"
+    bad = tmp_path / "bad.dat"
+    bad.write_text("1 x\n")
+    assert run_cli(["mine", str(bad)]) == 2
+    assert run_cli(["mine", str(data), "--bogus"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_mine_stats_json_keys(tmp_path):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
@@ -303,14 +342,14 @@ def test_mine_cxt_count_not_in_ascii_digits_exits_2(monkeypatch, capsys):
     assert "line 3: expected object count, got '0_2'" in capsys.readouterr().err
 
 
-def test_mine_no_attr_sort_same_concepts(tmp_path, capsys):
+def test_mine_no_attr_sort_exits_3(tmp_path, capsys):
+    # Every engine mines in the one attribute order, so the option is gone.
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
-    assert run_cli(["mine", str(data), "--min-support", "1", "--sorted"]) == 0
-    sorted_run = capsys.readouterr().out
-    assert run_cli(["mine", str(data), "--min-support", "1", "--sorted", "--no-attr-sort"]) == 0
-    unsorted_run = capsys.readouterr().out
-    assert sorted_run == unsorted_run
+    assert run_cli(["mine", str(data), "--no-attr-sort"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "conceptmine: unrecognized arguments: --no-attr-sort\n"
 
 
 def test_permutation_invariance(tmp_path, capsys):

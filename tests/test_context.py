@@ -228,11 +228,9 @@ def test_parse_fimi_equals_the_context_of_its_id_lists(seed):
     assert len(ctx.distinct_rows) == len({tuple(row) for row in ctx.rows})
 
     for s in (0, 1, 30, 120, 10_000):
-        for sort_attributes in (True, False):
-            pre, _, merge = preprocess(ctx, s, sort_attributes=sort_attributes)
-            want = _reference_preprocess(ctx, s, sort_attributes)
-            assert (pre.rows, pre.weights, list(merge.groups)) == want, (s, sort_attributes)
-            pre.validate()
+        pre, _, merge = preprocess(ctx, s)
+        assert (pre.rows, pre.weights, list(merge.groups)) == _reference_preprocess(ctx, s), s
+        pre.validate()
 
 
 def test_parse_fimi_peak_memory_stays_near_the_text_size():
@@ -372,9 +370,10 @@ def test_preprocess_keeps_empty_rows_and_rows_emptied_by_filtering():
 
 
 def test_preprocess_orders_rows_by_descending_weight():
+    # Attribute 2 (cardinality 5) becomes 1, attribute 1 (cardinality 3) becomes 2.
     ctx = FormalContext([[1], [2], [1, 2], [2], [1, 2], [2]])
-    pre, _, merge = preprocess(ctx, 0, sort_attributes=False)
-    assert pre.rows == [[2], [1, 2], [1]]
+    pre, _, merge = preprocess(ctx, 0)
+    assert pre.rows == [[1], [1, 2], [2]]
     assert pre.weights == [3, 2, 1]
     assert merge.groups == ((1, 3, 5), (2, 4), (0,))
 
@@ -382,20 +381,19 @@ def test_preprocess_orders_rows_by_descending_weight():
 def test_preprocess_object_sort():
     # Rows of equal weight keep their input order.
     ctx = FormalContext([[1], [1, 2], [1, 2, 3]])
-    pre, _, merge = preprocess(ctx, 0, sort_attributes=False)
+    pre, _, merge = preprocess(ctx, 0)
     assert [len(r) for r in pre.rows] == [1, 2, 3]
     assert merge.groups == ((0,), (1,), (2,))
 
 
-def _reference_preprocess(ctx, min_support, sort_attributes):
+def _reference_preprocess(ctx, min_support):
     """Rows, weights and groups of ``preprocess``, mapping and merging object by object.
 
     Equal mapped rows merge when the distinct ones number at most half the objects.
     """
     threshold = max(1, min_support)
     retained = [a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= threshold]
-    if sort_attributes:
-        retained.sort(key=lambda a: (-ctx.attr_cardinality[a], a))
+    retained.sort(key=lambda a: (-ctx.attr_cardinality[a], a))
     new = {old: k for k, old in enumerate(retained, start=1)}
     kept = [
         (x, sorted(new[a] for a in row if a in new), w)
@@ -426,13 +424,12 @@ def test_preprocess_matches_object_by_object_reference():
         else:
             ctx, _ = parse_fimi("".join(" ".join(map(str, row)) + "\n" for row in rows))
         for s in (0, 3, 8):
-            for sort_attributes in (True, False):
-                pre, _, merge = preprocess(ctx, s, sort_attributes=sort_attributes)
-                want = _reference_preprocess(ctx, s, sort_attributes)
-                assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s, sort_attributes)
-                pre.validate()
-                equal_rows = len(pre.distinct_rows) < pre.num_objects
-                sides.add((pre.num_objects < ctx.num_objects, equal_rows))
+            pre, _, merge = preprocess(ctx, s)
+            want = _reference_preprocess(ctx, s)
+            assert (pre.rows, pre.weights, list(merge.groups)) == want, (i, s)
+            pre.validate()
+            equal_rows = len(pre.distinct_rows) < pre.num_objects
+            sides.add((pre.num_objects < ctx.num_objects, equal_rows))
     assert sides >= {(True, False), (False, True), (False, False)}
 
 
@@ -506,7 +503,7 @@ def test_context_weights_must_be_integers():
 
 def test_preprocess_merges_only_when_that_halves_the_rows():
     # 2 distinct rows of 4 objects, exactly half: merged, weights summed.
-    pre, _, merge = preprocess(FormalContext([[1], [2], [1], [2]]), 0, sort_attributes=False)
+    pre, _, merge = preprocess(FormalContext([[1], [2], [1], [2]]), 0)
     assert pre.rows == [[1], [2]]
     assert pre.weights == [2, 2]
     assert merge.groups == ((0, 2), (1, 3))
@@ -516,13 +513,14 @@ def test_preprocess_merges_only_when_that_halves_the_rows():
     assert pre.weights == [4]
     assert merge.groups == ((0, 1, 2, 3),)
     # 3 distinct rows of 5 objects: one row per object, with its own weight
-    # and group, heaviest first; equal rows still share one list.
+    # and group, heaviest first; equal rows still share one list.  Attributes
+    # 2 and 3 (cardinality 3) become 1 and 2, attribute 1 (cardinality 2) 3.
     ctx = FormalContext([[1], [2], [1], [2], [3]], weights=[1, 2, 1, 1, 3])
-    pre, _, merge = preprocess(ctx, 0, sort_attributes=False)
-    assert pre.rows == [[3], [2], [1], [1], [2]]
+    pre, _, merge = preprocess(ctx, 0)
+    assert pre.rows == [[2], [1], [3], [3], [1]]
     assert pre.weights == [3, 2, 1, 1, 1]
     assert merge.groups == ((4,), (1,), (0,), (2,), (3,))
-    assert pre.rows[2] is pre.rows[3] and pre.distinct_rows == [[3], [2], [1]]
+    assert pre.rows[2] is pre.rows[3] and pre.distinct_rows == [[2], [1], [3]]
     pre.validate()
 
 
