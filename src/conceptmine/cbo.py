@@ -13,9 +13,7 @@ intersection A ∩ {i}↓ of its parent's extent with attribute i's column, and
 its closure intersects the rows of that extent.  Extents and columns are
 ``frozenset``s of row indices, so the intersection runs in C over the smaller
 set; the closure stays a loop of row-mask ANDs.  A child's weight is its size
-plus the excess (w - 1) of the heavy rows, those of weight w above 1, that it
-holds, taken from one more C intersection with the heavy rows; only when most
-rows are heavy are the child's weights summed one by one.
+when every row weighs 1, and otherwise the sum of its rows' weights.
 """
 
 from __future__ import annotations
@@ -44,11 +42,7 @@ def cbo_enumerate(
     columns = [frozenset(set_bits(column)) for column in ctx.columns]
     weights = ctx.weights
     row_weight = weights.__getitem__
-    # With most rows heavy, intersecting would copy nearly all of each child.
-    sum_weights = 2 * weights.count(1) < len(weights)
-    excess = {} if sum_weights else {x: w - 1 for x, w in enumerate(weights) if w > 1}
-    excess_of = excess.__getitem__
-    heavy = frozenset(excess)
+    unit = weights.count(1) == len(weights)
     full = (1 << n) - 1
 
     def generate(extent: frozenset[int], extent_weight: int, B: int, y: int) -> Iterator:
@@ -69,12 +63,7 @@ def cbo_enumerate(
             if D >> (i - 1) & 1:
                 continue
             child = extent & columns[i]
-            if sum_weights:
-                child_weight = sum(map(row_weight, child))
-            elif heavy:
-                child_weight = len(child) + sum(map(excess_of, child & heavy))
-            else:
-                child_weight = len(child)
+            child_weight = len(child) if unit else sum(map(row_weight, child))
             if child_weight < min_support:
                 continue
             yield generate(child, child_weight, D | (1 << (i - 1)), i)

@@ -117,7 +117,7 @@ def _mine_arguments(mine: _Parser) -> None:
     mine.add_argument(
         "--dense-width",
         default=None,
-        help="lcm3 only: max live attributes for the FP-tree engine (integer or 'inf')",
+        help="lcm3 only: max frequent attributes of a node on FP-trees (integer or 'inf')",
     )
     mine.add_argument("--with-extents", action="store_true", help="append object ids per itemset")
     mine.add_argument("--sorted", action="store_true", help="sort output lines by itemset")

@@ -24,18 +24,16 @@ that mines on these trees lives in :mod:`conceptmine.lcm`.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 from .bits import ids_of
 
 DEFAULT_DENSE_WIDTH = 128
-# Conditional trees copy node bit-arrays freely; beyond this width the
-# bitset path is always the better representation.
-MAX_DENSE_WIDTH = 1 << 16
 
 
 class CompleteFpTree:
-    """Per-attribute node lists over a dense universe 1..width.
+    """Per-attribute node lists over the attributes of ``path_mask``.
 
     ``lists[a]`` maps path bit-arrays to ``(weight, inner)`` tuples (the
     bit-array is the node identity); ``totals[a]`` is the weighted size of
@@ -43,16 +41,14 @@ class CompleteFpTree:
     the extension step.  ``path_mask`` limits which attributes participate
     in path sets - attributes outside it (the prefix attributes of a
     conditional database, and in the engine's conditional trees the
-    infrequent and closure attributes) appear only inside inner bit-arrays;
-    it must lie within 1..width.  ``nodes`` are ``(path, (weight, inner))``
-    pairs: each path is projected onto ``path_mask``, empty ones are dropped
-    and equal ones merged (weights summed, inners intersected), then the
-    tree is extended.
+    infrequent and closure attributes) appear only inside inner bit-arrays.
+    ``nodes`` are ``(path, (weight, inner))`` pairs: each path is projected
+    onto ``path_mask``, empty ones are dropped and equal ones merged (weights
+    summed, inners intersected), then the tree is extended.
     """
 
-    def __init__(self, width: int, path_mask: int | None = None, nodes: Iterable = ()):
-        self.width = width
-        self.path_mask = path_mask = (1 << width) - 1 if path_mask is None else path_mask
+    def __init__(self, path_mask: int, nodes: Iterable = ()):
+        self.path_mask = path_mask
         self.lists: dict[int, dict[int, tuple[int, int]]] = {}
         self.totals: dict[int, int] = {}
         self.inters: dict[int, int] = {}
@@ -149,11 +145,16 @@ def build_complete_fptree(
         raise ValueError(f"row attribute exceeds universe width {width}")
     if weights is None:
         weights = [1] * len(masks)
-    elif len(weights) != len(masks):
-        raise ValueError("weights and rows differ in length")
-    elif any(w < 1 for w in weights):
-        raise ValueError("row weights must be positive")
-    return CompleteFpTree(width, nodes=zip(masks, zip(weights, masks)))
+    else:
+        try:
+            weights = list(map(operator.index, weights))
+        except TypeError:
+            raise ValueError("row weights must be integers") from None
+        if len(weights) != len(masks):
+            raise ValueError("weights and rows differ in length")
+        if any(w < 1 for w in weights):
+            raise ValueError("row weights must be positive")
+    return CompleteFpTree((1 << width) - 1, zip(masks, zip(weights, masks)))
 
 
 def conditional_fptree(
@@ -171,7 +172,7 @@ def conditional_fptree(
     path_mask = tree.path_mask & ((1 << (attr - 1)) - 1)
     if keep is not None:
         path_mask &= keep
-    return CompleteFpTree(attr - 1, path_mask, tree.lists.get(attr, {}).items() if path_mask else ())
+    return CompleteFpTree(path_mask, tree.lists.get(attr, {}).items() if path_mask else ())
 
 
 def intent_of_list(tree: CompleteFpTree, attr: int) -> tuple[tuple[int, ...], int]:

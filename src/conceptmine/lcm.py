@@ -34,24 +34,23 @@ descended into or the node is left.
 LCM3 runs the same traversal until a node's frequent attributes fit
 within ``dense_width``, then mines the whole subtree on complete FP-trees.
 Only a node whose frequent suffix fits can engage, so only such a node
-counts its prefix too and keeps the frequent prefix attributes; elsewhere the
-prefix stays uncounted, as in LCM2.  The FP-trees come from
+counts its prefix too, for the number of frequent prefix attributes;
+elsewhere the prefix stays uncounted, as in LCM2.  The FP-trees come from
 :mod:`conceptmine.fptree`: the tree's constructor takes the rows of the
 node's extent bitset, each row's mask projected onto the suffix attributes
-as its path and cut to the frequent attributes as its inner; lists act as the
-delivered buckets, conditional trees replace conditional databases, and
-closure and canonicity are read off each list's intersection of inners,
-which the extension step takes as it sums the list.  Inside such a subtree
-the generation order is mirrored - children add attributes in descending id
-order, because a conditional tree only spans attributes more frequent than
-its key - and the subtree still owns exactly the closed sets whose closure
-adds no attribute below the engagement anchor.  Each node's extent bitset is
-carried down.  Before a conditional tree is built, the candidate attributes
-(below the key and outside the closure) are counted on the columns within
-the child extent and the paths are projected onto the frequent ones, as LCM
-ver. 3 builds conditional databases from frequent items only; the inner
-bit-arrays keep every frequent attribute of the engaged node for the closure
-and canonicity readings.
+as its path and whole as its inner, as :func:`build_complete_fptree` files
+rows.  Lists act as the delivered buckets, conditional trees replace
+conditional databases, and each list's intersection of inners, which the
+extension step takes as it sums the list, is the child's intent: closure
+and canonicity are read off it.  Inside such a subtree the generation order
+is mirrored - children add attributes in descending id order, because a
+conditional tree only spans attributes more frequent than its key - and the
+subtree still owns exactly the closed sets whose closure adds no attribute
+below the engagement anchor.  Each node's extent bitset is carried down.
+Before a conditional tree is built, the candidate attributes (below the key
+and outside the closure) are counted on the columns within the child extent
+and the paths are projected onto the frequent ones, as LCM ver. 3 builds
+conditional databases from frequent items only; the inners stay whole rows.
 
 Both traversals run on the explicit stack of
 :func:`conceptmine.derive.depth_first`, one frame per node or conditional
@@ -61,6 +60,7 @@ tree, so depth costs no Python recursion.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
 
@@ -69,7 +69,7 @@ from .bits import RowSet, ids_of, mask_of, set_bits
 from .context import FormalContext
 from .derive import Concept, EnumerationStats, closure, depth_first
 from .errors import ConfigurationError, PruningSoundnessError
-from .fptree import DEFAULT_DENSE_WIDTH, MAX_DENSE_WIDTH, CompleteFpTree
+from .fptree import DEFAULT_DENSE_WIDTH, CompleteFpTree
 
 
 class ConditionalDatabase:
@@ -322,12 +322,11 @@ class _Runner:
         if len(child_db.suffix_attrs) <= self.dense_width:
             # Only here can the FP-trees engage, and whether they do depends on
             # the frequent prefix, so only here is the prefix counted.
-            prefix = child_db.prefix_attrs
-            counts = frequencies(child_db, extent, prefix)[0]
-            prefix_mask = mask_of(a for a, n in zip(prefix, counts) if n >= self.min_weight)
-            del prefix, counts
-            if prefix_mask.bit_count() + len(child_db.suffix_attrs) <= self.dense_width:
-                yield self._tree_root(child_db, prefix_mask, closed)
+            counts = frequencies(child_db, extent, child_db.prefix_attrs)[0]
+            frequent = sum(n >= self.min_weight for n in counts)
+            del counts
+            if frequent + len(child_db.suffix_attrs) <= self.dense_width:
+                yield self._tree_root(child_db, closed)
                 return
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
@@ -361,33 +360,19 @@ class _Runner:
                 yield self._node(child_db, child, closed, a)
         rules.pop_frame()
 
-    def _tree_root(self, db: ConditionalDatabase, prefix_mask: int, closed: int):
-        """The frame that mines ``db``'s subtree on a complete FP-tree of its extent.
-
-        ``prefix_mask`` holds the prefix attributes of ``db`` that are frequent
-        in its extent.
-        """
+    def _tree_root(self, db: ConditionalDatabase, closed: int):
+        """The frame that mines ``db``'s subtree on a complete FP-tree of its extent."""
         suffix_mask = mask_of(db.suffix_attrs)
-        live_mask = suffix_mask | prefix_mask
         masks, weights = self.ctx.row_masks, self.ctx.weights
-        nodes = ((masks[x], (weights[x], masks[x] & live_mask)) for x in set_bits(db.extent))
+        nodes = ((masks[x], (weights[x], masks[x])) for x in set_bits(db.extent))
         # Paths are the suffix attributes: a row without one feeds no deeper extent.
-        tree = CompleteFpTree(db.attrs[-1], suffix_mask, nodes)
-        return self._tree(tree, db.extent, closed, suffix_mask, prefix_mask)
+        tree = CompleteFpTree(suffix_mask, nodes)
+        return self._tree(tree, db.extent, closed, suffix_mask)
 
-    def _tree(
-        self,
-        tree: CompleteFpTree,
-        extent: int,
-        closed: int,
-        suffix_mask: int,
-        prefix_mask: int,
-    ):
-        # ``extent`` is the row bitset of the node and ``closed`` its intent;
-        # every list of ``tree`` is frequent within the extent and outside the
-        # intent.  The intent's attributes from above the engagement are full
-        # in its extent, so none is live there: within the live attributes,
-        # ``closed`` holds only what this subtree closed.
+    def _tree(self, tree: CompleteFpTree, extent: int, closed: int, suffix_mask: int):
+        # ``extent`` is the row bitset of the node and ``closed`` its intent.
+        # The inners are whole rows, so each list's intersection is its child's
+        # intent.
         st = self.stats
         columns = self.ctx.columns
         if self.node_inspector is not None:
@@ -396,16 +381,18 @@ class _Runner:
             st.recursive_calls += 1
             st.closure_computations += 1
             inter = tree.inters[attr]
-            # Violators: prefix attributes of the engagement database, or live
-            # attributes above this one that the closure pulled in unasked.
-            above = suffix_mask & ~((1 << attr) - 1)
-            if inter & ~closed & (prefix_mask | above):
+            # Violators: what the closure adds outside the suffix attributes up to
+            # ``attr``.  That is exactly the frequent prefix attributes of the
+            # engagement database and the suffix attributes above ``attr``: every
+            # list is frequent in its extent, so no infrequent attribute is in its
+            # intersection, and every row of a list carries the node's intent, so
+            # ``inter`` holds ``closed``.
+            if inter & ~closed & ~(suffix_mask & ((1 << attr) - 1)):
                 st.canonicity_failures += 1
                 continue
-            child_closed = closed | inter
             child = extent & columns[attr]
             st.concepts_emitted += 1
-            yield self._emit(child_closed, tree.totals[attr], child)
+            yield self._emit(inter, tree.totals[attr], child)
             # Count the candidates on the columns, so that the conditional tree
             # is built from the frequent attributes outside the closure only;
             # with no candidate the tree is empty and nothing is counted.
@@ -418,7 +405,7 @@ class _Runner:
             sub = fptree.conditional_fptree(tree, attr, keep=keep)
             st.conditional_dbs_built += 1
             if sub.lists:
-                yield self._tree(sub, child, child_closed, suffix_mask, prefix_mask)
+                yield self._tree(sub, child, inter, suffix_mask)
 
     def _emit(self, closed: int, weight: int, extent: int) -> Concept:
         """A Concept with the row ids of ``extent`` when asked."""
@@ -486,14 +473,15 @@ def lcm3_enumerate(
         raise ValueError("min_support must be non-negative")
     if dense_width is None:
         dense_width = math.inf
-    elif not math.isinf(dense_width):
-        dense_width = int(dense_width)
+    elif dense_width != math.inf:
+        try:
+            dense_width = operator.index(dense_width)
+        except TypeError:
+            raise ConfigurationError(
+                f"dense_width must be an integer or math.inf, got {dense_width!r}"
+            ) from None
         if dense_width < 0:
             raise ConfigurationError("dense_width must be non-negative")
-        if dense_width > MAX_DENSE_WIDTH:
-            raise ConfigurationError(
-                f"dense_width {dense_width} exceeds the bit-array capacity {MAX_DENSE_WIDTH}"
-            )
     stats = stats if stats is not None else EnumerationStats()
     runner = _Runner(
         ctx, min_support, dense_width, pruning, stats, with_extents, check_pruning, node_inspector

@@ -109,7 +109,7 @@ def list_scan_cbo(ctx, min_support=0, *, with_extents=False, stats=None):
 
 
 def weight_case(ctx):
-    """Which of cbo's ways to weigh a child a context takes."""
+    """The weights of a context: cbo counts a child when every weight is 1, else sums it."""
     heavy = sum(w > 1 for w in ctx.weights)
     if not ctx.num_objects:
         return "no objects"

@@ -207,11 +207,15 @@ def test_failed_output_keeps_existing_stats_file(tmp_path):
     assert stats_path.read_text() == "earlier run\n"
 
 
-def test_mine_dense_width_capacity_exits_4(tmp_path):
+def test_mine_dense_width_has_no_capacity(tmp_path, capsys):
+    # No width is too large: a million engages the FP-trees wherever inf does.
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
-    code = run_cli(["mine", str(data), "--algorithm", "lcm3", "--dense-width", "1000000"])
-    assert code == 4
+    outputs = []
+    for width in ("1000000", "inf"):
+        assert run_cli(["mine", str(data), "--algorithm", "lcm3", "--dense-width", width]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_mine_deep_staircase(tmp_path, capsys):

@@ -59,6 +59,10 @@ def test_build_rejects_bad_weights():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="positive"):
             build_complete_fptree([[1], [1, 2], [2]], weights=[1, bad, 1])
+    # As FormalContext reads them: a float or a string is no weight.
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="must be integers"):
+            build_complete_fptree([[1], [1, 2], [2]], weights=[1, bad, 1])
 
 
 def test_conditional_tree_on_attribute_3():
@@ -192,9 +196,9 @@ def test_conditional_tree_with_keep_matches_grouped_rows():
 
 
 def test_constructor_projects_paths_and_cuts_inners():
-    # The engine's root tree: paths projected onto a path mask narrower than
-    # the inners, which are the rows cut to a wider live mask.  List k must
-    # group the rows whose projected path holds k by that path up to k.
+    # Paths projected onto a path mask narrower than the inners, which the
+    # caller cut to a wider live mask.  List k must group the rows whose
+    # projected path holds k by that path up to k.
     rng = random.Random(17)
     for i in range(60):
         width = rng.randrange(2, 16)
@@ -208,7 +212,7 @@ def test_constructor_projects_paths_and_cuts_inners():
         rows = [m for m in rows if m]
         weights = [rng.randrange(1, 5) for _ in rows]
         inners = [(w, m & live) for w, m in zip(weights, rows)]
-        tree = CompleteFpTree(width, path_mask, zip(rows, inners))
+        tree = CompleteFpTree(path_mask, zip(rows, inners))
         tree.validate()
         want = {}
         for m, w in zip(rows, weights):
@@ -264,11 +268,17 @@ def test_lcm3_stats_identity():
         assert stats.recursive_calls == stats.concepts_emitted + stats.canonicity_failures
 
 
-def test_lcm3_rejects_oversized_dense_width(k1):
-    with pytest.raises(ConfigurationError):
-        list(lcm3_enumerate(k1, 0, 1 << 20))
+def test_lcm3_takes_any_large_dense_width_and_rejects_a_negative_one(k1):
+    pre, _, _ = preprocess(k1, 0)
+    assert list(lcm3_enumerate(pre, 0, 1 << 20)) == list(lcm3_enumerate(pre, 0, None))
     with pytest.raises(ConfigurationError):
         list(lcm3_enumerate(k1, 0, -1))
+
+
+@pytest.mark.parametrize("width", [-0.5, 4.7, math.nan, -math.inf, "4"])
+def test_lcm3_rejects_a_dense_width_that_is_not_an_integer(k1, width):
+    with pytest.raises(ConfigurationError, match="integer"):
+        list(lcm3_enumerate(k1, 0, width))
 
 
 def test_lcm3_accepts_inf_dense_width(k1):
@@ -405,3 +415,48 @@ def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
             for width in (4, 128, None):
                 mine_concepts(ctx, s, algorithm="lcm3", dense_width=width)
     assert sum(built) > 1000  # the engine built many non-empty trees through the wrapper
+
+
+def test_engine_list_intersections_are_the_rows_intersections(monkeypatch):
+    # The engine's inners are whole rows, so the intersection of a list is the
+    # AND of the rows it holds: the child's intent.  The engine emits a child
+    # (here with its row ids) just before it asks for the child's conditional
+    # tree, so the spy knows the rows of every tree it returns.  A root tree's
+    # rows are those of the engaged node, whose concept comes just before the
+    # first child of the tree; a root tree none of whose lists is descended
+    # into goes unchecked.
+    from conceptmine import fptree
+
+    original = fptree.conditional_fptree
+    rows_of = {}
+    emitted = []
+    checked = []
+
+    def check(tree, rows):
+        rows_of[id(tree)] = tree, rows  # held, so that no later tree reuses its id
+        for key, inter in tree.inters.items():
+            held = [m for m in rows if m >> (key - 1) & 1]
+            assert inter == functools.reduce(operator.and_, held), key
+        checked.append(len(tree.inters))
+
+    def spy(tree, attr, *args, **kwargs):
+        masks = pre.row_masks
+        if id(tree) not in rows_of:
+            check(tree, [masks[x] for x in emitted[-2].extent])
+        child_rows = [masks[x] for x in emitted[-1].extent]
+        assert child_rows == [m for m in rows_of[id(tree)][1] if m >> (attr - 1) & 1]
+        sub = original(tree, attr, *args, **kwargs)
+        check(sub, child_rows)
+        return sub
+
+    monkeypatch.setattr(fptree, "conditional_fptree", spy)
+    for seed in range(40):
+        for ctx in (random_context(seed), weighted_context(seed)):
+            for s in (0, 1, 2):
+                pre, _, _ = preprocess(ctx, s)
+                for width in (1, 4, math.inf):
+                    emitted.clear()
+                    rows_of.clear()
+                    for concept in lcm3_enumerate(pre, s, width, with_extents=True):
+                        emitted.append(concept)
+    assert sum(checked) > 1000
