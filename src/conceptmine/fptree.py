@@ -44,10 +44,13 @@ class CompleteFpTree:
     infrequent and closure attributes) appear only inside inner bit-arrays.
     ``nodes`` are ``(path, (weight, inner))`` pairs: each path is projected
     onto ``path_mask``, empty ones are dropped and equal ones merged (weights
-    summed, inners intersected), then the tree is extended.
+    summed, inners intersected), then the tree is extended.  A negative
+    ``path_mask`` raises :class:`ValueError`.
     """
 
     def __init__(self, path_mask: int, nodes: Iterable = ()):
+        if path_mask < 0:
+            raise ValueError(f"path_mask must be non-negative, got {path_mask}")
         self.path_mask = path_mask
         self.lists: dict[int, dict[int, tuple[int, int]]] = {}
         self.totals: dict[int, int] = {}

@@ -13,12 +13,14 @@ Each node's conditional database is its extent plus its attributes, held
 once as an ascending tuple and split at the anchor into suffix candidates and
 the prefix attributes that later canonicity checks need.  As in LCM ver. 2, a
 node counts only its tail: the attributes of its parent's database at or
-above its anchor.  Those counts
-give the closure and the suffix, with full, empty and infrequent attributes
-dropped.  The attributes below the anchor are carried into the prefix
-uncounted: the parent's canonicity test has just shown that none of them
-covers the extent, and one that does not reach the minimum support there can
-cover no delivered bucket either.  Frequencies come as a list aligned with
+above its anchor.  One pass over those counts gives the closure (the full
+attributes) and tells whether any other attribute is frequent.  A node with
+no such attribute is a leaf, and as in LCM ver. 2 it builds no database: its
+database would be the empty one.  Otherwise the same counts give the suffix,
+with full, empty and infrequent attributes dropped.  The attributes below
+the anchor are carried into the prefix uncounted: the parent's canonicity
+test has just shown that none of them covers the extent, and one that does
+not reach the minimum support there can cover no delivered bucket either.  Frequencies come as a list aligned with
 the counted attributes, so the child's database keeps its attributes in
 order without a sort.  Occurrence deliver fills every child extent (bucket)
 with one AND per suffix attribute.  The canonicity test stops at the
@@ -303,22 +305,33 @@ class _Runner:
         """The frame of a node that passed its canonicity test: emit it, then its children.
 
         ``closed`` is the parent's intent; the attributes of ``db`` that cover
-        ``extent``, the anchor among them, complete it.
+        ``extent``, the anchor among them, complete it.  A leaf, whose counts
+        show no frequent attribute outside the closure, builds no database.
         """
         st = self.stats
         tail = db.attrs[bisect_left(db.attrs, anchor) :]
         counts, extent_weight = frequencies(db, extent, tail)
-        closed |= mask_of(a for a, n in zip(tail, counts) if n == extent_weight)
+        # One pass closes the node and tells whether it has children: a full
+        # attribute joins the closure, any other frequent one is a suffix
+        # attribute of the child database.
+        min_weight = self.min_weight
+        has_children = False
+        for a, n in zip(tail, counts):
+            if n == extent_weight:
+                closed |= 1 << (a - 1)
+            elif n >= min_weight:
+                has_children = True
         st.concepts_emitted += 1
         yield self._emit(closed, extent_weight, extent)
 
-        child_db = create_conditional_db(
-            db, extent, anchor, self.min_weight, counted=(counts, extent_weight)
-        )
+        # A leaf's database is the empty one: counted, but not built.
         st.conditional_dbs_built += 1
-        del counts  # a frame lives as long as its subtree: keep only what the children need
-        if not child_db.suffix_attrs:
+        if not has_children:
             return
+        child_db = create_conditional_db(
+            db, extent, anchor, min_weight, counted=(counts, extent_weight)
+        )
+        del counts  # a frame lives as long as its subtree: keep only what the children need
         if len(child_db.suffix_attrs) <= self.dense_width:
             # Only here can the FP-trees engage, and whether they do depends on
             # the frequent prefix, so only here is the prefix counted.

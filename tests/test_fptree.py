@@ -65,6 +65,13 @@ def test_build_rejects_bad_weights():
             build_complete_fptree([[1], [1, 2], [2]], weights=[1, bad, 1])
 
 
+def test_tree_rejects_a_negative_path_mask():
+    # The extension counts the mask's bits down to 0, which a negative int never reaches.
+    for bad in (-1, -6):
+        with pytest.raises(ValueError, match="non-negative"):
+            CompleteFpTree(bad, [(3, (1, 3))])
+
+
 def test_conditional_tree_on_attribute_3():
     tree = build_complete_fptree(K1_DENSE)
     cond = conditional_fptree(tree, 3)

@@ -309,41 +309,61 @@ def test_lcm_stats_pinned_on_a_fixed_corpus():
 
 
 def test_lcm_nodes_count_only_their_tail(monkeypatch):
-    # Spied through the module, as perfbench/tracer.py does: a node counts
-    # within its extent, then builds its child database from those counts.
-    counted = []
-    databases = []
+    # Spied through the module, as perfbench/tracer.py does: a node counts its
+    # tail within its extent, and only a node with a frequent extension then
+    # builds its child database from those counts; a leaf builds none.
+    events = []
     frequencies_of = lcm_module.frequencies
     create = lcm_module.create_conditional_db
 
     def spy_frequencies(db, extent=None, attrs=None):
-        counted.append((extent, db.attrs if attrs is None else attrs))
-        return frequencies_of(db, extent, attrs)
+        counted = frequencies_of(db, extent, attrs)
+        events.append(("count", extent, db.attrs, db.attrs if attrs is None else attrs, counted))
+        return counted
 
     def spy_create(db, extent, anchor, *args, **kwargs):
         child = create(db, extent, anchor, *args, **kwargs)
-        databases.append((extent, anchor, child))
+        events.append(("db", extent, anchor, child))
         return child
 
     monkeypatch.setattr(lcm_module, "frequencies", spy_frequencies)
     monkeypatch.setattr(lcm_module, "create_conditional_db", spy_create)
     contexts = [random_context(i) for i in range(60)] + [weighted_context(s) for s in range(120)]
+    leaves = 0
     for i, ctx in enumerate(contexts):
         for s in (0, 1, 2):
             pre, _, _ = preprocess(ctx, s)
             for engine in (lcm2_enumerate, functools.partial(lcm3_enumerate, dense_width=4)):
-                counted.clear()
-                databases.clear()
-                list(engine(pre, s))
-                for _, _, child in databases:
-                    child.validate()
+                events.clear()
+                concepts = list(engine(pre, s))
+                for event in events:
+                    if event[0] == "db":
+                        event[3].validate()
                 if engine is not lcm2_enumerate:
                     continue
-                # LCM2 counts once per node, just before it builds the child database.
-                assert len(counted) == len(databases), (i, s)
-                for (counted_extent, attrs), (extent, anchor, _) in zip(counted, databases):
-                    assert counted_extent == extent, (i, s)
-                    assert all(a >= anchor for a in attrs), (i, s, anchor, attrs)
+                # LCM2 counts once per emitted concept; the top concept with an
+                # empty extent is emitted uncounted.
+                counts = sum(event[0] == "count" for event in events)
+                assert counts == sum(c.support > 0 for c in concepts), (i, s)
+                for event, after in zip(events, [*events[1:], None]):
+                    if event[0] == "db":
+                        continue
+                    _, extent, db_attrs, attrs, (ns, weight) = event
+                    assert attrs == db_attrs[len(db_attrs) - len(attrs) :], (i, s, attrs)
+                    # A database follows a count exactly when the counts show a
+                    # frequent attribute that does not cover the extent.
+                    has_children = any(max(1, s) <= n < weight for n in ns)
+                    builds = after is not None and after[0] == "db"
+                    assert builds == has_children, (i, s, ns, weight)
+                    leaves += not builds
+                    if builds:
+                        _, db_extent, anchor, _ = after
+                        assert db_extent == extent, (i, s)
+                        assert all(a >= anchor for a in attrs), (i, s, anchor, attrs)
+                for before, event in zip([None, *events], events):
+                    if event[0] == "db":
+                        assert before is not None and before[0] == "count", (i, s)
+    assert leaves
 
 
 def test_lcm2_bucket_faithfulness_via_inspector(k1):
