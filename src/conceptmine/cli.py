@@ -92,25 +92,19 @@ def generate_context(
     return FormalContext(rows, num_attributes=num_attributes)
 
 
-def _generate_from_args(args) -> FormalContext:
-    """:func:`generate_context` for the parsed ``--seed/--objects/--attributes/--density``."""
-    for name in ("seed", "objects", "attributes"):
-        value = getattr(args, name)
-        if value < 0:
-            raise _UsageError(f"--{name} must be non-negative, got {value}")
-    if not 0.0 <= args.density <= 1.0:  # false for NaN as well
-        raise _UsageError(f"--density must lie in [0, 1], got {args.density}")
-    return generate_context(args.seed, args.objects, args.attributes, args.density)
+def _input_arguments(command: _Parser) -> None:
+    """The input and support options that ``mine`` and ``bench`` share."""
+    command.add_argument("input", help="input file, or - for standard input")
+    command.add_argument("--format", choices=("fimi", "cxt"), default="fimi")
+    command.add_argument("--min-support", type=int, default=None, help="absolute weighted count")
+    command.add_argument(
+        "--min-support-ratio", type=float, default=None, help="fraction of the object count"
+    )
 
 
 def _mine_arguments(mine: _Parser) -> None:
-    mine.add_argument("input", help="input file, or - for standard input")
-    mine.add_argument("--format", choices=("fimi", "cxt"), default="fimi")
+    _input_arguments(mine)
     mine.add_argument("--algorithm", choices=ALGORITHMS, default="lcm2")
-    mine.add_argument("--min-support", type=int, default=None, help="absolute weighted count")
-    mine.add_argument(
-        "--min-support-ratio", type=float, default=None, help="fraction of the object count"
-    )
     mine.add_argument(
         "--no-pruning", action="store_true", help="lcm2 and lcm3 only: disable rule pruning"
     )
@@ -134,17 +128,10 @@ def _gen_arguments(gen: _Parser) -> None:
 
 
 def _bench_arguments(bench: _Parser) -> None:
-    bench.add_argument("input", nargs="?", default=None, help="input file (FIMI); omit to generate")
-    bench.add_argument("--format", choices=("fimi", "cxt"), default="fimi")
+    _input_arguments(bench)
     bench.add_argument("--algorithms", default="cbo,lcm2", help="comma-separated engine list")
-    bench.add_argument("--min-support", type=int, default=None)
-    bench.add_argument("--min-support-ratio", type=float, default=None)
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--dense-width", default=None)
-    bench.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
-    bench.add_argument("--objects", type=int, default=None)
-    bench.add_argument("--attributes", type=int, default=None)
-    bench.add_argument("--density", type=float, default=None)
 
 
 _COMMANDS = {
@@ -196,7 +183,7 @@ def _resolve_support(args, total_objects: int) -> int:
 def _resolve_dense_width(text: str | None):
     if text is None:
         return DEFAULT_DENSE_WIDTH
-    if text.lower() in ("inf", "unlimited"):
+    if text.lower() == "inf":
         return None
     try:
         return int(text)
@@ -291,10 +278,16 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    ctx = _generate_from_args(args)
-    payload = "".join(" ".join(str(a) for a in row) + "\n" for row in ctx.rows)
+    for name in ("seed", "objects", "attributes"):
+        value = getattr(args, name)
+        if value < 0:
+            raise _UsageError(f"--{name} must be non-negative, got {value}")
+    if not 0.0 <= args.density <= 1.0:  # false for NaN as well
+        raise _UsageError(f"--density must lie in [0, 1], got {args.density}")
+    ctx = generate_context(args.seed, args.objects, args.attributes, args.density)
+    lines = (" ".join(map(str, row)) + "\n" for row in ctx.rows)
     with open(args.output, "w", encoding="utf-8") if args.output else _stdout() as out:
-        out.write(payload)
+        out.writelines(lines)
     return EXIT_OK
 
 
@@ -347,18 +340,7 @@ def bench(
 def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
-    if args.input is not None:
-        for name in ("objects", "attributes", "density", "seed"):
-            if getattr(args, name) is not None:
-                raise _UsageError(f"--{name} applies only when bench generates its data")
-        ctx, remap = _load_context(args.input, args.format)
-    else:
-        if args.objects is None or args.attributes is None or args.density is None:
-            raise _UsageError("bench needs an input file or --objects/--attributes/--density")
-        if args.seed is None:
-            args.seed = 0
-        ctx = _generate_from_args(args)
-        remap = None
+    ctx, remap = _load_context(args.input, args.format)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise _UsageError(f"--algorithms names no engine: {args.algorithms!r}")
@@ -399,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _say(f"conceptmine: parse error: {exc}")
         return EXIT_PARSE
-    except (CapacityError, ConfigurationError) as exc:
-        _say(f"conceptmine: {exc}")
+    except (CapacityError, ConfigurationError, MemoryError) as exc:
+        _say(f"conceptmine: {str(exc) or 'out of memory'}")
         return EXIT_CAPACITY
     except DigestMismatchError as exc:
         _say(f"conceptmine: {exc}")

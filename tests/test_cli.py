@@ -86,7 +86,7 @@ def test_support_ratio_is_exact_on_the_decimal_ratio():
         (["--help"], ["mine", "gen", "bench", "enumerate frequent closed itemsets"]),
         (["mine", "--help"], ["--min-support-ratio", "--with-extents", "--stats"]),
         (["gen", "--help"], ["--seed", "--objects", "--attributes", "--density", "--output"]),
-        (["bench", "--help"], ["--algorithms", "--repeats", "--dense-width", "--density"]),
+        (["bench", "--help"], ["--algorithms", "--repeats", "--dense-width", "--min-support"]),
     ],
 )
 def test_help_lists_commands_and_their_options(capsys, argv, listed):
@@ -429,8 +429,8 @@ def test_gen_nan_density_exits_3(capsys):
     assert_usage_error(args, capsys, "--density")
 
 
-def test_bench_density_above_one_exits_3(capsys):
-    args = ["bench", "--objects", "10", "--attributes", "3", "--density", "2"]
+def test_gen_density_above_one_exits_3(capsys):
+    args = ["gen", "--seed", "1", "--objects", "10", "--attributes", "3", "--density", "2"]
     assert_usage_error(args, capsys, "--density")
 
 
@@ -504,26 +504,17 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[1].startswith("cbo,") and lines[2].startswith("lcm2,")
 
 
-def test_bench_generated_single_config(capsys):
-    code = run_cli(
-        [
-            "bench",
-            "--algorithms",
-            "lcm2",
-            "--objects",
-            "40",
-            "--attributes",
-            "10",
-            "--density",
-            "0.2",
-            "--seed",
-            "5",
-            "--min-support",
-            "2",
-            "--repeats",
-            "1",
-        ]
-    )
+def _pipe_gen_into_stdin(monkeypatch, capsys, seed, num_objects, num_attributes, density):
+    """Run ``gen`` and make its output the next command's standard input, as ``gen | bench -``."""
+    args = ["--seed", str(seed), "--objects", str(num_objects), "--attributes", str(num_attributes)]
+    assert run_cli(["gen", *args, "--density", str(density)]) == 0
+    data = capsys.readouterr().out.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def test_bench_generated_single_config(monkeypatch, capsys):
+    _pipe_gen_into_stdin(monkeypatch, capsys, 5, 40, 10, 0.2)
+    code = run_cli(["bench", "-", "--algorithms", "lcm2", "--min-support", "2", "--repeats", "1"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
@@ -580,22 +571,48 @@ def test_bench_empty_algorithm_list_exits_3(tmp_path, capsys, algorithms):
 @pytest.mark.parametrize(
     "option", [["--objects", "40"], ["--attributes", "10"], ["--density", "0.2"], ["--seed", "0"]]
 )
-def test_bench_generator_option_with_input_file_exits_3(tmp_path, capsys, option):
-    # The input file is mined; a generator option would be silently ignored.
+def test_bench_refuses_generator_options_as_unknown_exits_3(tmp_path, capsys, option):
+    # Only gen generates data; bench reads its input as mine does and knows
+    # none of gen's options.
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
     assert_usage_error(["bench", str(data), *option], capsys, option[0])
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert option[0] not in capsys.readouterr().out
 
 
-def test_bench_generates_with_seed_0_by_default(capsys):
-    args = ["bench", "--algorithms", "lcm2", "--objects", "40", "--attributes", "10"]
-    args += ["--density", "0.3", "--min-support", "2", "--repeats", "1"]
-    counts = []
-    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
-        assert run_cli(args + seed) == 0
-        row = capsys.readouterr().out.splitlines()[1].split(",")
-        counts.append((row[2], row[3:]))
-    assert counts[0] == counts[1] != counts[2]
+@pytest.mark.parametrize("density", [0.2, 0.5])
+@pytest.mark.parametrize("seed", [0, 7, 424242])
+def test_piped_gen_output_benches_like_the_library(monkeypatch, capsys, seed, density):
+    import csv
+
+    algorithms = ["cbo", "lcm2", "lcm3"]
+    _pipe_gen_into_stdin(monkeypatch, capsys, seed, 60, 12, density)
+    assert run_cli(["bench", "-", "--algorithms", ",".join(algorithms), "--repeats", "1"]) == 0
+    got = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    want = bench(generate_context(seed, 60, 12, density), None, algorithms, 1, repeats=1)
+    assert len(got) == len(want) == len(algorithms)
+    for row, record in zip(got, want):
+        del row["wall_ms_median"], record["wall_ms_median"]
+        assert row == {name: str(value) for name, value in record.items()}
+
+
+def test_gen_unallocatable_table_exits_4(monkeypatch, capsys):
+    # 10^15 float64 draws ask numpy for 7.1 PiB, past the 128 TiB a process
+    # can map by default on x86-64 Linux, so numpy fails before it allocates.
+    args = ["gen", "--seed", "0", "--objects", "10000000000", "--attributes", "100000"]
+    assert run_cli([*args, "--density", "0.1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("conceptmine: Unable to allocate") and "Traceback" not in err
+
+    def refuse(*_):
+        raise MemoryError
+
+    monkeypatch.setattr("conceptmine.cli.generate_context", refuse)
+    assert run_cli(["gen", "--seed", "0", "--objects", "1", "--attributes", "1", "--density", "0"]) == 4
+    assert capsys.readouterr() == ("", "conceptmine: out of memory\n")
 
 
 def test_bench_function_checks_digests(k1):
