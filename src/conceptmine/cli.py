@@ -159,25 +159,28 @@ def _build_parser(command: str | None) -> _Parser:
     return parser
 
 
-def _resolve_support(args, total_objects: int) -> int:
+def _check_support(args) -> None:
+    """Refuse conflicting or out-of-range support options, before any input is read."""
     if args.min_support is not None and args.min_support_ratio is not None:
         raise _UsageError("give either --min-support or --min-support-ratio, not both")
+    ratio = args.min_support_ratio
+    if ratio is not None and not 0.0 <= ratio <= 1.0:
+        raise _UsageError(f"--min-support-ratio must lie in [0, 1], got {ratio}")
+    if args.min_support is not None and args.min_support < 0:
+        raise _UsageError("--min-support must be non-negative")
+
+
+def _resolve_support(args, total_objects: int) -> int:
+    """The absolute support of options that :func:`_check_support` passed."""
     if args.min_support_ratio is not None:
-        ratio = args.min_support_ratio
-        if not 0.0 <= ratio <= 1.0:
-            raise _UsageError(f"--min-support-ratio must lie in [0, 1], got {ratio}")
         # The ratio as written in decimal, not its binary float: 0.07 of 100
         # objects is 7, where the float product is 7.000000000000001.  Integer
         # arithmetic on repr's digits, because fractions would load decimal.
-        mantissa, _, exponent = repr(ratio).partition("e")
+        mantissa, _, exponent = repr(args.min_support_ratio).partition("e")
         whole, _, decimals = mantissa.partition(".")
         scale = 10 ** (len(decimals) - int(exponent or 0))
         return -(-int(whole + decimals) * total_objects // scale)
-    if args.min_support is not None:
-        if args.min_support < 0:
-            raise _UsageError("--min-support must be non-negative")
-        return args.min_support
-    return 1
+    return 1 if args.min_support is None else args.min_support
 
 
 def _resolve_dense_width(text: str | None):
@@ -229,12 +232,14 @@ def _format_concept(c, with_extents: bool) -> str:
 
 
 def _cmd_mine(args) -> int:
-    ctx, remap = _load_context(args.input, args.format)
-    min_support = _resolve_support(args, ctx.num_objects)
     if args.no_pruning and args.algorithm not in ("lcm2", "lcm3"):
         raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
     if args.dense_width is not None and args.algorithm != "lcm3":
         raise _UsageError("--dense-width applies only to --algorithm lcm3")
+    dense_width = _resolve_dense_width(args.dense_width)
+    _check_support(args)
+    ctx, remap = _load_context(args.input, args.format)
+    min_support = _resolve_support(args, ctx.num_objects)
     stats = EnumerationStats()
     started = time.perf_counter()
     concepts = mine_concepts(
@@ -242,7 +247,7 @@ def _cmd_mine(args) -> int:
         min_support,
         algorithm=args.algorithm,
         pruning=not args.no_pruning,
-        dense_width=_resolve_dense_width(args.dense_width),
+        dense_width=dense_width,
         with_extents=args.with_extents,
         base_remap=remap,
         stats=stats,
@@ -340,7 +345,6 @@ def bench(
 def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
-    ctx, remap = _load_context(args.input, args.format)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise _UsageError(f"--algorithms names no engine: {args.algorithms!r}")
@@ -349,6 +353,9 @@ def _cmd_bench(args) -> int:
             raise _UsageError(f"unknown algorithm {a!r} in --algorithms")
     if args.dense_width is not None and "lcm3" not in algorithms:
         raise _UsageError("--dense-width applies only when --algorithms holds lcm3")
+    dense_width = _resolve_dense_width(args.dense_width)
+    _check_support(args)
+    ctx, remap = _load_context(args.input, args.format)
     min_support = _resolve_support(args, ctx.num_objects)
     rows = bench(
         ctx,
@@ -356,7 +363,7 @@ def _cmd_bench(args) -> int:
         algorithms,
         min_support,
         repeats=args.repeats,
-        dense_width=_resolve_dense_width(args.dense_width),
+        dense_width=dense_width,
     )
     import csv  # here, not at module level, so that mining never loads it
 

@@ -470,12 +470,12 @@ def preprocess(
 ) -> tuple[FormalContext, AttributeRemap, ObjectMerge]:
     """Clean, sort, and weight a context before enumeration.
 
-    Empty attributes and attributes with weighted cardinality below
-    ``min_support`` are removed, the rest renumbered 1..n in descending
-    cardinality order (ties by ascending original id), the one order for
-    every engine: ``cbo`` walks it mirrored, as ``lcm3``'s FP-trees do, and
-    no engine measured faster in input order.  Every object is
-    kept: a row that is empty, from the start or through attribute removal,
+    Attributes with weighted cardinality below ``min_support`` are removed
+    (at 0 none is: the empty ones stay, and sort last), the rest renumbered
+    1..n in descending cardinality order (ties by ascending original id), the
+    one order for every engine: ``cbo`` walks it mirrored, as ``lcm3``'s
+    FP-trees do, and no engine measured faster in input order.  Every object
+    is kept: a row that is empty, from the start or through attribute removal,
     maps to the empty row, so the total weight is conserved and the merge
     groups partition the objects.  Identical rows merge with summed weights
     when that leaves at most half as many rows as objects; otherwise each
@@ -485,9 +485,8 @@ def preprocess(
     """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")
-    threshold = max(1, min_support)
     retained = [
-        a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= threshold
+        a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= min_support
     ]
     retained.sort(key=lambda a: (-ctx.attr_cardinality[a], a))
     old_to_new = {old: new for new, old in enumerate(retained, start=1)}

@@ -3,12 +3,11 @@
 Every engine works in the preprocessed context's ids; the pipeline maps
 intents and extents back to the caller's ids in one place.  Preprocessing
 keeps every object, so the engine's root - the closure of the empty intent -
-has the full weight and every object.  It drops empty and infrequent
-attributes, which can only affect the bottom concept at min_support 0: the
-full intent must span every original attribute, so the pipeline patches
-exactly that one after the engine run.  Everything else maps 1:1 through the
-attribute remap and object merge, whether or not preprocessing merged
-identical rows.
+has the full weight and every object.  It drops only the attributes below
+min_support, so at min_support 0 it keeps the empty ones and the engine's
+full intent is the bottom concept over every original attribute.  Every
+concept then maps 1:1 through the attribute remap and object merge, whether
+or not preprocessing merged identical rows.
 """
 
 from __future__ import annotations
@@ -80,19 +79,7 @@ def mine_concepts(
             raw = lcm2_enumerate(pre, min_support, **options)
         else:
             raw = lcm3_enumerate(pre, min_support, dense_width, **options)
-    concepts = [_translate(c, full_remap, merge) for c in raw]
-
-    if min_support == 0 and pre.num_attributes < ctx.num_attributes:
-        # Some attribute was dropped, so no object can carry the full original
-        # attribute set: the bottom concept is the whole of it with support 0.
-        if base_remap is not None:
-            bottom = tuple(sorted(base_remap.new_to_old))
-        else:
-            bottom = tuple(range(1, ctx.num_attributes + 1))
-        concepts = [c for c in concepts if c.support > 0]
-        concepts.append(Concept(bottom, 0, () if with_extents else None))
-
-    return concepts
+    return [_translate(c, full_remap, merge) for c in raw]
 
 
 def _translate(c: Concept, remap: AttributeRemap, merge: ObjectMerge) -> Concept:

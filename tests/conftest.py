@@ -29,6 +29,9 @@ K1_WORKING_CONCEPTS = {
     ((1, 2, 3, 4), 0),
 }
 
+# Three objects and a blank one over attributes a..d, of which b and d are in no row.
+EMPTY_COLUMNS_CXT = "B\n\n4\n4\n\no1\no2\no3\no4\na\nb\nc\nd\nX.X.\n..X.\nX...\n....\n"
+
 
 @pytest.fixture
 def k1():

@@ -15,7 +15,7 @@ import pytest
 from conceptmine import concept_digest, mine_concepts, parse_fimi
 from conceptmine.cli import _resolve_support, bench, generate_context, main
 
-from conftest import concept_set
+from conftest import EMPTY_COLUMNS_CXT, concept_set
 
 K1_TEXT = "1 2 3\n1 3\n2 3\n3 4\n"
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +114,21 @@ def test_mine_empty_input(tmp_path, capsys):
 
 def test_mine_missing_file_exits_1(tmp_path):
     assert run_cli(["mine", str(tmp_path / "nope.dat")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mine", "--algorithm", "cbo", "--no-pruning"], "--no-pruning"),
+        (["mine", "--algorithm", "lcm3", "--dense-width", "x"], "--dense-width"),
+        (["mine", "--min-support", "1", "--min-support-ratio", "0.5"], "--min-support-ratio"),
+        (["bench", "--algorithms", ","], "--algorithms"),
+    ],
+)
+def test_options_are_checked_before_the_input_is_read(tmp_path, capsys, argv, flag):
+    # The input is missing (exit 1), but the options' own fault is found first.
+    command, *options = argv
+    assert_usage_error([command, str(tmp_path / "nope.dat"), *options], capsys, flag)
 
 
 def test_mine_parse_error_exits_2(tmp_path, capsys):
@@ -331,6 +346,28 @@ def test_mine_cxt_input(tmp_path, capsys):
     code = run_cli(["mine", str(data), "--format", "cxt", "--min-support", "2", "--sorted"])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == ["1 3 (2)", "2 3 (2)", "3 (4)"]
+
+
+@pytest.mark.parametrize("algorithm", ["naive", "cbo", "lcm2", "lcm3"])
+def test_mine_support_0_bottom_spans_the_empty_columns(tmp_path, capsys, algorithm):
+    # b and d are in no row: the bottom holds all four attributes, once, and no object.
+    data = tmp_path / "empty_columns.cxt"
+    data.write_text(EMPTY_COLUMNS_CXT)
+    args = ["mine", str(data), "--format", "cxt", "--min-support", "0", "--algorithm", algorithm]
+    stats = tmp_path / "stats.json"
+    assert run_cli([*args, "--sorted", "--with-extents", "--stats", str(stats)]) == 0
+    assert json.loads(stats.read_text())["concepts_emitted"] == 5  # the engine's own bottom
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "(4) / 0 1 2 3",
+        "1 (2) / 0 2",
+        "1 2 3 4 (0) /",
+        "1 3 (1) / 0",
+        "3 (2) / 0 1",
+    ]
+    assert err == "5 concepts, total support 9\n"
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out.count("1 2 3 4 (0)\n") == 1
 
 
 def test_mine_cxt_name_of_digits(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import tracemalloc
@@ -6,10 +7,16 @@ from itertools import combinations
 import pytest
 
 from conceptmine import (
+    Concept,
+    EnumerationStats,
     FormalContext,
     ParseError,
+    cbo_enumerate,
     compose_remaps,
     down,
+    enumerate_naive,
+    lcm2_enumerate,
+    lcm3_enumerate,
     mine_concepts,
     parse_cxt,
     parse_fimi,
@@ -18,7 +25,7 @@ from conceptmine import (
 from conceptmine.bits import set_bits
 from conceptmine.context import AttributeRemap
 
-from conftest import K1_ROWS, random_context, weighted_context
+from conftest import EMPTY_COLUMNS_CXT, K1_ROWS, random_context, weighted_context
 
 
 def test_parse_fimi_basic():
@@ -367,6 +374,60 @@ def test_preprocess_keeps_empty_rows_and_rows_emptied_by_filtering():
     assert sorted(map(tuple, pre.rows)) == [(), (1,)]
     assert pre.total_weight == 4
     assert sorted(x for group in merge.groups for x in group) == [0, 1, 2, 3]
+
+
+def test_preprocess_keeps_empty_attributes_last_only_at_support_0():
+    ctx = FormalContext([[2], [2, 4], [4], [4]], num_attributes=5)
+    pre, remap, _ = preprocess(ctx, 0)
+    # 1, 3 and 5 are in no row: at support 0 they stay, after 4 and 2, by id
+    assert remap.new_to_old == (4, 2, 1, 3, 5)
+    assert [pre.attr_cardinality[a] for a in range(1, 6)] == [3, 2, 0, 0, 0]
+    assert pre.num_attributes == 5
+    pre, remap, _ = preprocess(ctx, 1)
+    assert remap.new_to_old == (4, 2)
+    assert pre.num_attributes == 2
+
+
+@pytest.mark.parametrize("algorithm", ["naive", "cbo", "lcm2", "lcm3"])
+def test_mined_bottom_spans_the_empty_attributes_once(algorithm):
+    ctx, remap = parse_cxt(EMPTY_COLUMNS_CXT)
+    stats = EnumerationStats()
+    mined = mine_concepts(
+        ctx, 0, algorithm=algorithm, with_extents=True, base_remap=remap, stats=stats
+    )
+    assert stats.concepts_emitted == len(mined)  # the engine made the bottom, no patch did
+    assert sorted(mined, key=lambda c: c.intent) == [
+        Concept((), 4, (0, 1, 2, 3)),
+        Concept((1,), 2, (0, 2)),
+        Concept((1, 2, 3, 4), 0, ()),
+        Concept((1, 3), 1, (0,)),
+        Concept((3,), 2, (0, 1)),
+    ]
+
+
+def test_engines_make_the_bottom_of_the_preprocessed_context():
+    # Run on preprocess(ctx, 0) and mapped back with nothing added or removed,
+    # every engine gives the concepts of ctx itself, the bottom over the
+    # attributes that no row holds included.
+    engines = [
+        enumerate_naive,
+        cbo_enumerate,
+        lcm2_enumerate,
+        functools.partial(lcm2_enumerate, pruning=False),
+        *(functools.partial(lcm3_enumerate, dense_width=w) for w in (0, 1, 4, None)),
+    ]
+    contexts = [parse_cxt(EMPTY_COLUMNS_CXT)[0], FormalContext([], num_attributes=3)]
+    contexts += [weighted_context(seed) for seed in (4, 9, 11, 17, 24, 27)]
+    for i, ctx in enumerate(contexts):
+        want = set(enumerate_naive(ctx, 0, with_extents=True))
+        pre, remap, merge = preprocess(ctx, 0)
+        assert pre.num_attributes == ctx.num_attributes, i
+        for engine in engines:
+            got = [
+                Concept(remap.to_original(c.intent), c.support, merge.to_original(c.extent))
+                for c in engine(pre, 0, with_extents=True)
+            ]
+            assert len(got) == len(want) and set(got) == want, (i, engine)
 
 
 def test_preprocess_orders_rows_by_descending_weight():
