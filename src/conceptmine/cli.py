@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 
 from .context import FormalContext, parse_cxt, parse_fimi
 from .derive import EnumerationStats
@@ -189,9 +189,12 @@ def _resolve_dense_width(text: str | None):
     if text.lower() == "inf":
         return None
     try:
-        return int(text)
+        width = int(text)
     except ValueError:
         raise _UsageError(f"--dense-width expects an integer or 'inf', got {text!r}") from None
+    if width < 0:
+        raise _UsageError(f"--dense-width must be non-negative, got {width}")
+    return width
 
 
 def _read_input(path: str) -> str:
@@ -231,6 +234,15 @@ def _format_concept(c, with_extents: bool) -> str:
     return line
 
 
+def _create(path: str, mode: str, created: list[str]):
+    """``open(path, mode)``, and ``path`` appended to ``created`` if the call made the file."""
+    new = not os.path.lexists(path)
+    f = open(path, mode, encoding="utf-8")
+    if new:
+        created.append(path)
+    return f
+
+
 def _cmd_mine(args) -> int:
     if args.no_pruning and args.algorithm not in ("lcm2", "lcm3"):
         raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
@@ -241,44 +253,62 @@ def _cmd_mine(args) -> int:
     ctx, remap = _load_context(args.input, args.format)
     min_support = _resolve_support(args, ctx.num_objects)
     stats = EnumerationStats()
-    started = time.perf_counter()
-    concepts = mine_concepts(
-        ctx,
-        min_support,
-        algorithm=args.algorithm,
-        pruning=not args.no_pruning,
-        dense_width=dense_width,
-        with_extents=args.with_extents,
-        base_remap=remap,
-        stats=stats,
-    )
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    if args.sorted:
-        concepts.sort(key=lambda c: c.intent)
-    # The files are created only now, so a failed run leaves none behind.  The
-    # stats path is checked first without truncating it; if the output then
-    # fails, a stats file is removed only when this run created it.
-    stats_created = bool(args.stats) and not os.path.lexists(args.stats)
-    if args.stats:
-        open(args.stats, "a", encoding="utf-8").close()
-    # One line at a time, so that no copy of the whole output is ever held.
-    lines = (_format_concept(c, args.with_extents) + "\n" for c in concepts)
+    with_extents = args.with_extents
+    created: list[str] = []  # the files this run made, removed if it fails
     try:
-        with open(args.output, "w", encoding="utf-8") if args.output else _stdout() as out:
-            out.writelines(lines)
-    except BaseException:
-        if stats_created:
-            os.remove(args.stats)
-        raise
-    if args.stats:
-        import json  # here, not at module level: only --stats needs it
+        with ExitStack() as files:
+            out = None
+            count = total_support = 0
 
-        record = stats.as_dict()
-        record["wall_ms"] = wall_ms
-        with open(args.stats, "w", encoding="utf-8") as out:
-            out.write(json.dumps(record, indent=2) + "\n")
-    total_support = sum(c.support for c in concepts)
-    _say(f"{len(concepts)} concepts, total support {total_support}")
+            def start():
+                # At the first concept, so a run that fails before it leaves no
+                # file.  The stats path is checked first, without truncating it.
+                if args.stats:
+                    _create(args.stats, "a", created).close()
+                if args.output:
+                    return files.enter_context(_create(args.output, "w", created))
+                return files.enter_context(_stdout())
+
+            def write(c) -> None:
+                nonlocal out, count, total_support
+                if out is None:
+                    out = start()
+                out.write(_format_concept(c, with_extents) + "\n")
+                count += 1
+                total_support += c.support
+
+            started = time.perf_counter()
+            # Unsorted, each concept is written as the engine emits it and none is kept.
+            concepts = mine_concepts(
+                ctx,
+                min_support,
+                algorithm=args.algorithm,
+                pruning=not args.no_pruning,
+                dense_width=dense_width,
+                with_extents=with_extents,
+                base_remap=remap,
+                stats=stats,
+                sink=None if args.sorted else write,
+            )
+            if args.sorted:
+                concepts.sort(key=lambda c: c.intent)
+                for c in concepts:
+                    write(c)
+            if out is None:  # no concept: the output is still made, empty
+                start()
+            wall_ms = (time.perf_counter() - started) * 1000.0
+        if args.stats:
+            import json  # here, not at module level: only --stats needs it
+
+            record = stats.as_dict()
+            record["wall_ms"] = wall_ms
+            with open(args.stats, "w", encoding="utf-8") as f:
+                f.write(json.dumps(record, indent=2) + "\n")
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
+    _say(f"{count} concepts, total support {total_support}")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ or not preprocessing merged identical rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .cbo import cbo_enumerate
 from .context import AttributeRemap, FormalContext, ObjectMerge, compose_remaps, preprocess
@@ -35,7 +35,8 @@ def mine_concepts(
     stats: EnumerationStats | None = None,
     check_pruning: bool = False,
     node_inspector=None,
-) -> list[Concept]:
+    sink: Callable[[Concept], object] | None = None,
+) -> list[Concept] | None:
     """Mine all closed attribute sets of ``ctx`` with weighted support >= min_support.
 
     Every engine mines the context as :func:`preprocess` orders it, by
@@ -46,6 +47,11 @@ def mine_concepts(
     ``node_inspector`` (``lcm2``/``lcm3`` only) is called per inner node with
     the intent and a dict of the delivered bucket weights by attribute, all in
     original ids.
+
+    Without a ``sink`` the concepts are returned as a list, in the engine's
+    order.  With one, ``sink`` is called with each translated concept as the
+    engine yields it, in the same order, nothing is kept and the call returns
+    None; an exception that ``sink`` raises stops the engine and propagates.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -79,7 +85,11 @@ def mine_concepts(
             raw = lcm2_enumerate(pre, min_support, **options)
         else:
             raw = lcm3_enumerate(pre, min_support, dense_width, **options)
-    return [_translate(c, full_remap, merge) for c in raw]
+    if sink is None:
+        return [_translate(c, full_remap, merge) for c in raw]
+    for c in raw:
+        sink(_translate(c, full_remap, merge))
+    return None
 
 
 def _translate(c: Concept, remap: AttributeRemap, merge: ObjectMerge) -> Concept:

@@ -123,6 +123,8 @@ def test_mine_missing_file_exits_1(tmp_path):
         (["mine", "--algorithm", "lcm3", "--dense-width", "x"], "--dense-width"),
         (["mine", "--min-support", "1", "--min-support-ratio", "0.5"], "--min-support-ratio"),
         (["bench", "--algorithms", ","], "--algorithms"),
+        (["mine", "--algorithm", "lcm3", "--dense-width", "-1"], "--dense-width"),
+        (["bench", "--algorithms", "lcm3", "--dense-width", "-1"], "--dense-width"),
     ],
 )
 def test_options_are_checked_before_the_input_is_read(tmp_path, capsys, argv, flag):
@@ -198,6 +200,57 @@ def test_failed_mine_leaves_no_output_file(tmp_path):
     data.write_text(" ".join(str(a) for a in range(1, 26)) + "\n")
     assert run_cli(["mine", str(data), "--algorithm", "naive", "-o", str(target)]) == 4
     assert not target.exists()
+
+
+def test_failed_mine_keeps_an_existing_output_file(tmp_path):
+    data = tmp_path / "wide.dat"
+    data.write_text(" ".join(str(a) for a in range(1, 26)) + "\n")
+    target = tmp_path / "out.txt"
+    target.write_text("earlier run\n")
+    assert run_cli(["mine", str(data), "--algorithm", "naive", "-o", str(target)]) == 4
+    assert target.read_text() == "earlier run\n"
+
+
+def test_mine_without_concepts_makes_empty_output(tmp_path, capsys):
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    target = tmp_path / "out.txt"
+    stats_path = tmp_path / "stats.json"
+    args = ["mine", str(data), "--min-support", "5", "-o", str(target), "--stats", str(stats_path)]
+    assert run_cli(args) == 0
+    assert target.read_text() == ""
+    assert json.loads(stats_path.read_text())["concepts_emitted"] == 0
+    assert capsys.readouterr().err == "0 concepts, total support 0\n"
+
+
+def test_failure_while_writing_removes_the_files_the_run_made(tmp_path, monkeypatch, capsys):
+    import conceptmine.cli as cli_module
+
+    real = cli_module._format_concept
+    calls = []
+
+    def failing(c, with_extents):
+        calls.append(c)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(c, with_extents)
+
+    monkeypatch.setattr(cli_module, "_format_concept", failing)
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    target = tmp_path / "out.txt"
+    stats_path = tmp_path / "stats.json"
+    args = ["mine", str(data), "-o", str(target), "--stats", str(stats_path)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == "conceptmine: disk full\n"
+    assert not target.exists() and not stats_path.exists()
+    # Files that were there before stay: the output truncated, the stats unchanged.
+    target.write_text("earlier run\n")
+    stats_path.write_text("earlier stats\n")
+    calls.clear()
+    assert run_cli(args) == 1
+    assert "earlier run" not in target.read_text()
+    assert stats_path.read_text() == "earlier stats\n"
 
 
 def test_unwritable_stats_or_output_leaves_no_file(tmp_path):
@@ -577,12 +630,11 @@ def test_bench_digest_mismatch_exits_5(tmp_path, capsys, monkeypatch):
     assert "disagree" in capsys.readouterr().err
 
 
-def test_bench_bad_dense_width_exits_4(tmp_path, capsys):
+def test_bench_bad_dense_width_exits_3(tmp_path, capsys):
     data = tmp_path / "k1.dat"
     data.write_text(K1_TEXT)
-    code = run_cli(["bench", str(data), "--algorithms", "lcm3", "--dense-width", "-1"])
-    assert code == 4
-    assert "non-negative" in capsys.readouterr().err
+    args = ["bench", str(data), "--algorithms", "lcm3", "--dense-width", "-1"]
+    assert_usage_error(args, capsys, "--dense-width")
 
 
 def test_bench_dense_width_without_lcm3_exits_3(tmp_path, capsys):
@@ -718,47 +770,60 @@ print(usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "wait4") or sys.platform != "linux", reason="peak RSS in KB from os.wait4"
-)
+def peak_rss_kb(args: list[str]) -> int:
+    """The peak RSS in KB of ``python -m conceptmine ARGS``, which must exit 0."""
+    if not hasattr(os, "wait4") or sys.platform != "linux":
+        pytest.skip("peak RSS in KB from os.wait4")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-c", PEAK_RSS_KB, sys.executable, "-m", "conceptmine", *args]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
 def test_mine_memory_does_not_follow_the_output(tmp_path):
     # Duplicate-heavy rows: few concepts, but extents of up to 40,000 ids.
     rng = random.Random(7)
     distinct = [sorted(rng.sample(range(1, 41), rng.randint(3, 6))) for _ in range(60)]
     data = tmp_path / "sessions.dat"
     data.write_text("".join(" ".join(map(str, rng.choice(distinct))) + "\n" for _ in range(40_000)))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = tmp_path / "out.txt"
-    peak_kb = []
-    for flags in ([], ["--with-extents"]):
-        args = ["mine", str(data), "--min-support", "1", *flags, "-o", str(out)]
-        argv = [sys.executable, "-c", PEAK_RSS_KB, sys.executable, "-m", "conceptmine", *args]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        peak_kb.append(int(done.stdout))
+    peak_kb = [
+        peak_rss_kb(["mine", str(data), "--min-support", "1", *flags, "-o", str(out)])
+        for flags in ([], ["--with-extents"])
+    ]
     output_bytes = out.stat().st_size
     assert output_bytes > 1_000_000
     assert (peak_kb[1] - peak_kb[0]) * 1024 < 2 * output_bytes, (peak_kb, output_bytes)
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "wait4") or sys.platform != "linux", reason="peak RSS in KB from os.wait4"
-)
+def test_mine_memory_does_not_follow_the_concept_count(tmp_path):
+    # The contranominal scale of n objects (object i has every attribute but i)
+    # has 2**n concepts: 8,192 at n=13 and 131,072 at n=17.  Streamed, the
+    # second run peaks within a few MB of the first; a kept list adds 22 MB.
+    peak_kb = []
+    for n in (13, 17):
+        data = tmp_path / f"contranominal{n}.dat"
+        data.write_text("".join(
+            " ".join(str(a) for a in range(1, n + 1) if a != i) + "\n" for i in range(1, n + 1)
+        ))
+        args = ["mine", str(data), "--algorithm", "lcm2", "--min-support", "0"]
+        peak_kb.append(peak_rss_kb([*args, "-o", str(tmp_path / "out.txt")]))
+    assert (tmp_path / "out.txt").read_text().count("\n") == 2**17
+    assert peak_kb[1] - peak_kb[0] < 4 * 1024, peak_kb
+
+
 def test_mine_memory_on_a_deep_input_stays_near_the_parse(tmp_path):
     # The 800-row staircase is a chain of 800 nested concepts, so 800 node
     # frames are on the stack at once; the rule store and the frames must not
     # grow with the square of that depth.
     data = tmp_path / "staircase.dat"
     data.write_text("".join(" ".join(map(str, range(1, i + 1))) + "\n" for i in range(1, 801)))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    peak_kb = []
     # --min-support 801 leaves nothing to mine: parse and preprocess only.
-    for flags in (["--min-support", "801"], ["--algorithm", "lcm2"]):
-        args = ["mine", str(data), *flags, "-o", str(tmp_path / "out.txt")]
-        argv = [sys.executable, "-c", PEAK_RSS_KB, sys.executable, "-m", "conceptmine", *args]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        peak_kb.append(int(done.stdout))
+    peak_kb = [
+        peak_rss_kb(["mine", str(data), *flags, "-o", str(tmp_path / "out.txt")])
+        for flags in (["--min-support", "801"], ["--algorithm", "lcm2"])
+    ]
     assert (peak_kb[1] - peak_kb[0]) < 12 * 1024, peak_kb
 
 
@@ -784,5 +849,16 @@ def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    names = {span[0] for span in json.loads(spans.read_text())}
+    spans = json.loads(spans.read_text())
+    names = {span[0] for span in spans}
     assert layers <= names, layers - names
+    # perfbench/run.py takes the translation time as mining.mine_concepts less
+    # the preprocess and engine spans, so those must run inside it.
+    for span in spans:
+        if span[0] in ("context.preprocess", "mining.engine"):
+            ancestors = []
+            parent = span[3]
+            while parent >= 0:
+                ancestors.append(spans[parent][0])
+                parent = spans[parent][3]
+            assert "mining.mine_concepts" in ancestors, (span, ancestors)

@@ -405,6 +405,25 @@ def test_mined_bottom_spans_the_empty_attributes_once(algorithm):
     ]
 
 
+def test_mine_concepts_sink_sees_the_list_in_order():
+    # With a sink, mine_concepts keeps nothing and returns None; the sink gets
+    # the list form's concepts one by one, in its order, with equal counters.
+    engines = [("naive", {}), ("cbo", {}), ("lcm2", {})]
+    engines += [("lcm3", {"dense_width": width}) for width in (0, 4, None)]
+    contexts = [random_context(i) for i in range(12)] + [weighted_context(s) for s in range(24)]
+    for ctx in contexts:
+        for s in (0, 1, 3):
+            for algorithm, options in engines:
+                for with_extents in (False, True):
+                    kw = dict(algorithm=algorithm, with_extents=with_extents, **options)
+                    listed, streamed = EnumerationStats(), EnumerationStats()
+                    want = mine_concepts(ctx, s, stats=listed, **kw)
+                    got = []
+                    assert mine_concepts(ctx, s, stats=streamed, sink=got.append, **kw) is None
+                    assert got == want, (algorithm, options, s, with_extents)
+                    assert streamed == listed, (algorithm, options, s, with_extents)
+
+
 def test_engines_make_the_bottom_of_the_preprocessed_context():
     # Run on preprocess(ctx, 0) and mapped back with nothing added or removed,
     # every engine gives the concepts of ctx itself, the bottom over the
