@@ -219,9 +219,16 @@ def _read_input(path: str) -> str:
         raise ParseError(f"byte 0x{byte:02x} is not valid UTF-8", line) from None
 
 
-def _load_context(path: str, fmt: str):
-    text = _read_input(path)
-    return parse_fimi(text) if fmt == "fimi" else parse_cxt(text)
+def _load(args):
+    """``(ctx, remap, min_support, dense_width)`` of ``mine``'s or ``bench``'s options.
+
+    The options are checked before the input is read.
+    """
+    dense_width = _resolve_dense_width(args.dense_width)
+    _check_support(args)
+    text = _read_input(args.input)
+    ctx, remap = parse_fimi(text) if args.format == "fimi" else parse_cxt(text)
+    return ctx, remap, _resolve_support(args, ctx.num_objects), dense_width
 
 
 def _format_concept(c, with_extents: bool) -> str:
@@ -248,10 +255,16 @@ def _cmd_mine(args) -> int:
         raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
     if args.dense_width is not None and args.algorithm != "lcm3":
         raise _UsageError("--dense-width applies only to --algorithm lcm3")
-    dense_width = _resolve_dense_width(args.dense_width)
-    _check_support(args)
-    ctx, remap = _load_context(args.input, args.format)
-    min_support = _resolve_support(args, ctx.num_objects)
+    # The stats would replace the concepts.  Only a regular file is refused:
+    # /dev/stdout given twice, say, reaches a pipe or a terminal.
+    if (
+        args.stats
+        and args.output
+        and os.path.realpath(args.stats) == os.path.realpath(args.output)
+        and (os.path.isfile(args.output) or not os.path.exists(args.output))
+    ):
+        raise _UsageError(f"--stats and --output name the same file: {args.output}")
+    ctx, remap, min_support, dense_width = _load(args)
     stats = EnumerationStats()
     with_extents = args.with_extents
     created: list[str] = []  # the files this run made, removed if it fails
@@ -383,10 +396,7 @@ def _cmd_bench(args) -> int:
             raise _UsageError(f"unknown algorithm {a!r} in --algorithms")
     if args.dense_width is not None and "lcm3" not in algorithms:
         raise _UsageError("--dense-width applies only when --algorithms holds lcm3")
-    dense_width = _resolve_dense_width(args.dense_width)
-    _check_support(args)
-    ctx, remap = _load_context(args.input, args.format)
-    min_support = _resolve_support(args, ctx.num_objects)
+    ctx, remap, min_support, dense_width = _load(args)
     rows = bench(
         ctx,
         remap,

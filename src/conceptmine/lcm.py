@@ -54,7 +54,9 @@ and outside the closure) are counted on the columns within the child extent
 and the paths are projected onto the frequent ones, as LCM ver. 3 builds
 conditional databases from frequent items only; the inners stay whole rows.
 
-Both traversals run on the explicit stack of
+The engine is one generator whose frames are closures, as ``cbo``'s are:
+its locals are the run's state (options, counters, rule store), and its
+nested ``node`` and ``tree`` frames run on the explicit stack of
 :func:`conceptmine.derive.depth_first`, one frame per node or conditional
 tree, so depth costs no Python recursion.
 """
@@ -245,8 +247,28 @@ def root_database(ctx: FormalContext) -> ConditionalDatabase:
     return ConditionalDatabase(ctx, 0, live, RowSet((1 << ctx.num_objects) - 1), ctx.total_weight)
 
 
-class _Runner:
-    """State for one enumeration run: options, counters, rule store.
+def _assert_skip_sound(ctx: FormalContext, closed: int, attr: int) -> None:
+    """Raise unless the closure of ``closed`` plus ``attr`` fails the canonicity test."""
+    intent = ids_of(closed)
+    result = closure(ctx, intent + (attr,))
+    if not any(a < attr and not closed >> (a - 1) & 1 for a in result):
+        raise PruningSoundnessError(
+            f"rule store skipped attribute {attr} under {intent}, "
+            f"but its closure {result} passes the canonicity test"
+        )
+
+
+def _lcm(
+    ctx: FormalContext,
+    min_support: int,
+    dense_width: int | float,
+    pruning: bool,
+    stats: EnumerationStats,
+    with_extents: bool,
+    check_pruning: bool,
+    node_inspector: Callable | None,
+) -> Iterator[Concept]:
+    """One enumeration run; its locals are the run's state, its frames the nested generators.
 
     A node frame runs each child's entry step - the call count, the rules
     retired by its anchor, the canonicity test - before it yields the child's
@@ -255,110 +277,76 @@ class _Runner:
     stays empty.  Intents are attribute bitmasks.  ``dense_width`` 0 never
     engages the FP-trees (LCM2).
     """
+    if ctx.total_weight < min_support:
+        return
+    min_weight = max(1, min_support)
+    columns = ctx.columns
+    rules = PruneRuleStore()
 
-    def __init__(
-        self,
-        ctx: FormalContext,
-        min_support: int,
-        dense_width: int | float,
-        pruning: bool,
-        stats: EnumerationStats,
-        with_extents: bool,
-        check_pruning: bool,
-        node_inspector: Callable | None,
-    ):
-        self.ctx = ctx
-        self.min_support = min_support
-        self.min_weight = max(1, min_support)
-        self.dense_width = dense_width
-        self.pruning = pruning
-        self.rules = PruneRuleStore()
-        self.stats = stats
-        self.with_extents = with_extents
-        self.check_pruning = check_pruning
-        self.node_inspector = node_inspector
+    def emit(closed: int, weight: int, extent: int) -> Concept:
+        """Count a concept and build it, with the row ids of ``extent`` when asked."""
+        stats.concepts_emitted += 1
+        return Concept(ids_of(closed), weight, tuple(set_bits(extent)) if with_extents else None)
 
-    def run(self) -> Iterator[Concept]:
-        st = self.stats
-        ctx = self.ctx
-        if ctx.total_weight < self.min_support:
-            return
-        if ctx.num_objects:
-            db = root_database(ctx)
-            # The root's entry step: it has no attribute below its anchor, so it
-            # cannot fail the canonicity test.
-            st.recursive_calls += 1
-            st.closure_computations += 1
-            yield from depth_first(self._node(db, db.extent, 0, 0))
-            assert len(self.rules) == 0, "rule store not empty after the root call"
-        if self.min_support == 0:
-            n = ctx.num_attributes
-            if not any(len(row) == n for row in ctx.rows):
-                # No object carries every attribute (or there is no object), so the
-                # full intent closes the lattice with an empty extent; counted as
-                # one (virtual) visit.
-                st.recursive_calls += 1
-                st.concepts_emitted += 1
-                yield Concept(tuple(range(1, n + 1)), 0, () if self.with_extents else None)
-
-    def _node(self, db: ConditionalDatabase, extent, closed: int, anchor: int):
+    def node(db: ConditionalDatabase, extent, closed: int, anchor: int):
         """The frame of a node that passed its canonicity test: emit it, then its children.
 
         ``closed`` is the parent's intent; the attributes of ``db`` that cover
         ``extent``, the anchor among them, complete it.  A leaf, whose counts
         show no frequent attribute outside the closure, builds no database.
         """
-        st = self.stats
         tail = db.attrs[bisect_left(db.attrs, anchor) :]
         counts, extent_weight = frequencies(db, extent, tail)
         # One pass closes the node and tells whether it has children: a full
         # attribute joins the closure, any other frequent one is a suffix
         # attribute of the child database.
-        min_weight = self.min_weight
         has_children = False
         for a, n in zip(tail, counts):
             if n == extent_weight:
                 closed |= 1 << (a - 1)
             elif n >= min_weight:
                 has_children = True
-        st.concepts_emitted += 1
-        yield self._emit(closed, extent_weight, extent)
+        yield emit(closed, extent_weight, extent)
 
         # A leaf's database is the empty one: counted, but not built.
-        st.conditional_dbs_built += 1
+        stats.conditional_dbs_built += 1
         if not has_children:
             return
         child_db = create_conditional_db(
             db, extent, anchor, min_weight, counted=(counts, extent_weight)
         )
         del counts  # a frame lives as long as its subtree: keep only what the children need
-        if len(child_db.suffix_attrs) <= self.dense_width:
+        if len(child_db.suffix_attrs) <= dense_width:
             # Only here can the FP-trees engage, and whether they do depends on
             # the frequent prefix, so only here is the prefix counted.
             counts = frequencies(child_db, extent, child_db.prefix_attrs)[0]
-            frequent = sum(n >= self.min_weight for n in counts)
+            frequent = sum(n >= min_weight for n in counts)
             del counts
-            if frequent + len(child_db.suffix_attrs) <= self.dense_width:
-                yield self._tree_root(child_db, closed)
+            if frequent + len(child_db.suffix_attrs) <= dense_width:
+                # The subtree is mined on a complete FP-tree of the extent.  Its
+                # paths are the suffix attributes: a row without one feeds no
+                # deeper extent.
+                suffix_mask = mask_of(child_db.suffix_attrs)
+                masks, weights = ctx.row_masks, ctx.weights
+                rows = ((masks[x], (weights[x], masks[x])) for x in set_bits(extent))
+                yield tree(CompleteFpTree(suffix_mask, rows), extent, closed, suffix_mask)
                 return
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
         buckets = list(occurrence_deliver(child_db).items())
-        if self.node_inspector is not None:
-            weight_of = self.ctx.weight_of
-            self.node_inspector(ids_of(closed), {a: weight_of(rows) for a, rows in buckets})
-        columns = self.ctx.columns
-        rules = self.rules
+        if node_inspector is not None:
+            weight_of = ctx.weight_of
+            node_inspector(ids_of(closed), {a: weight_of(rows) for a, rows in buckets})
         rules.push_frame()
         while buckets:
             a, child = buckets.pop()
             if rules.should_skip(a):
-                st.pruning_rule_hits += 1
-                if self.check_pruning:
-                    self._assert_skip_sound(closed, a)
+                stats.pruning_rule_hits += 1
+                if check_pruning:
+                    _assert_skip_sound(ctx, closed, a)
                 continue
-            st.recursive_calls += 1
-            st.closure_computations += 1
+            stats.recursive_calls += 1
+            stats.closure_computations += 1
             rules.remove_rules_by_right_side(a)
             # Canonicity: ``b`` stops at the smallest live attribute below ``a``
             # whose column covers the child extent, else at ``a`` itself.
@@ -366,34 +354,23 @@ class _Runner:
                 if b >= a or columns[b] & child == child:
                     break
             if b < a:
-                st.canonicity_failures += 1
-                if self.pruning:
+                stats.canonicity_failures += 1
+                if pruning:
                     rules.record_failure(a, b)
             else:
-                yield self._node(child_db, child, closed, a)
+                yield node(child_db, child, closed, a)
         rules.pop_frame()
 
-    def _tree_root(self, db: ConditionalDatabase, closed: int):
-        """The frame that mines ``db``'s subtree on a complete FP-tree of its extent."""
-        suffix_mask = mask_of(db.suffix_attrs)
-        masks, weights = self.ctx.row_masks, self.ctx.weights
-        nodes = ((masks[x], (weights[x], masks[x])) for x in set_bits(db.extent))
-        # Paths are the suffix attributes: a row without one feeds no deeper extent.
-        tree = CompleteFpTree(suffix_mask, nodes)
-        return self._tree(tree, db.extent, closed, suffix_mask)
-
-    def _tree(self, tree: CompleteFpTree, extent: int, closed: int, suffix_mask: int):
+    def tree(fp: CompleteFpTree, extent: int, closed: int, suffix_mask: int):
         # ``extent`` is the row bitset of the node and ``closed`` its intent.
         # The inners are whole rows, so each list's intersection is its child's
         # intent.
-        st = self.stats
-        columns = self.ctx.columns
-        if self.node_inspector is not None:
-            self.node_inspector(ids_of(closed), {a: tree.totals[a] for a in sorted(tree.lists)})
-        for attr in sorted(tree.lists):
-            st.recursive_calls += 1
-            st.closure_computations += 1
-            inter = tree.inters[attr]
+        if node_inspector is not None:
+            node_inspector(ids_of(closed), {a: fp.totals[a] for a in sorted(fp.lists)})
+        for attr in sorted(fp.lists):
+            stats.recursive_calls += 1
+            stats.closure_computations += 1
+            inter = fp.inters[attr]
             # Violators: what the closure adds outside the suffix attributes up to
             # ``attr``.  That is exactly the frequent prefix attributes of the
             # engagement database and the suffix attributes above ``attr``: every
@@ -401,38 +378,40 @@ class _Runner:
             # intersection, and every row of a list carries the node's intent, so
             # ``inter`` holds ``closed``.
             if inter & ~closed & ~(suffix_mask & ((1 << attr) - 1)):
-                st.canonicity_failures += 1
+                stats.canonicity_failures += 1
                 continue
             child = extent & columns[attr]
-            st.concepts_emitted += 1
-            yield self._emit(inter, tree.totals[attr], child)
+            yield emit(inter, fp.totals[attr], child)
             # Count the candidates on the columns, so that the conditional tree
             # is built from the frequent attributes outside the closure only;
             # with no candidate the tree is empty and nothing is counted.
-            keep = tree.path_mask & ((1 << (attr - 1)) - 1) & ~inter
+            keep = fp.path_mask & ((1 << (attr - 1)) - 1) & ~inter
             if keep:
                 candidates = ids_of(keep)
-                counts, _ = self.ctx.column_weights(child, candidates)
-                keep = mask_of(a for a, n in zip(candidates, counts) if n >= self.min_weight)
+                counts, _ = ctx.column_weights(child, candidates)
+                keep = mask_of(a for a, n in zip(candidates, counts) if n >= min_weight)
             # Through the module: perfbench/tracer.py rebinds the name there.
-            sub = fptree.conditional_fptree(tree, attr, keep=keep)
-            st.conditional_dbs_built += 1
+            sub = fptree.conditional_fptree(fp, attr, keep=keep)
+            stats.conditional_dbs_built += 1
             if sub.lists:
-                yield self._tree(sub, child, inter, suffix_mask)
+                yield tree(sub, child, inter, suffix_mask)
 
-    def _emit(self, closed: int, weight: int, extent: int) -> Concept:
-        """A Concept with the row ids of ``extent`` when asked."""
-        extent_ids = tuple(set_bits(extent)) if self.with_extents else None
-        return Concept(ids_of(closed), weight, extent_ids)
-
-    def _assert_skip_sound(self, closed: int, attr: int) -> None:
-        intent = ids_of(closed)
-        result = closure(self.ctx, intent + (attr,))
-        if not any(a < attr and not closed >> (a - 1) & 1 for a in result):
-            raise PruningSoundnessError(
-                f"rule store skipped attribute {attr} under {intent}, "
-                f"but its closure {result} passes the canonicity test"
-            )
+    if ctx.num_objects:
+        db = root_database(ctx)
+        # The root's entry step: it has no attribute below its anchor, so it
+        # cannot fail the canonicity test.
+        stats.recursive_calls += 1
+        stats.closure_computations += 1
+        yield from depth_first(node(db, db.extent, 0, 0))
+        assert len(rules) == 0, "rule store not empty after the root call"
+    if min_support == 0:
+        n = ctx.num_attributes
+        if not any(len(row) == n for row in ctx.rows):
+            # No object carries every attribute (or there is no object), so the
+            # full intent closes the lattice with an empty extent; counted as
+            # one (virtual) visit.
+            stats.recursive_calls += 1
+            yield emit((1 << n) - 1, 0, 0)
 
 
 def lcm2_enumerate(
@@ -496,7 +475,6 @@ def lcm3_enumerate(
         if dense_width < 0:
             raise ConfigurationError("dense_width must be non-negative")
     stats = stats if stats is not None else EnumerationStats()
-    runner = _Runner(
+    return _lcm(
         ctx, min_support, dense_width, pruning, stats, with_extents, check_pruning, node_inspector
     )
-    return runner.run()

@@ -85,11 +85,13 @@ def mine_concepts(
             raw = lcm2_enumerate(pre, min_support, **options)
         else:
             raw = lcm3_enumerate(pre, min_support, dense_width, **options)
+    concepts = None
     if sink is None:
-        return [_translate(c, full_remap, merge) for c in raw]
+        concepts = []
+        sink = concepts.append
     for c in raw:
         sink(_translate(c, full_remap, merge))
-    return None
+    return concepts
 
 
 def _translate(c: Concept, remap: AttributeRemap, merge: ObjectMerge) -> Concept:

@@ -125,6 +125,7 @@ def test_mine_missing_file_exits_1(tmp_path):
         (["bench", "--algorithms", ","], "--algorithms"),
         (["mine", "--algorithm", "lcm3", "--dense-width", "-1"], "--dense-width"),
         (["bench", "--algorithms", "lcm3", "--dense-width", "-1"], "--dense-width"),
+        (["mine", "--stats", "same.txt", "-o", "./same.txt"], "--stats"),
     ],
 )
 def test_options_are_checked_before_the_input_is_read(tmp_path, capsys, argv, flag):
@@ -273,6 +274,36 @@ def test_failed_output_keeps_existing_stats_file(tmp_path):
     missing = tmp_path / "missing" / "out.txt"
     assert run_cli(["mine", str(data), "-o", str(missing), "--stats", str(stats_path)]) == 1
     assert stats_path.read_text() == "earlier run\n"
+
+
+def test_stats_and_output_on_one_file_are_refused(tmp_path, capsys):
+    # The stats would replace the concepts; F, a path through "." and a
+    # symlink to F all name F, and F keeps its bytes.
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    same = tmp_path / "same.txt"
+    same.write_text("earlier run\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(same)
+    for stats_path in (str(same), f"{tmp_path}/./same.txt", str(link)):
+        args = ["mine", str(data), "--stats", stats_path, "-o", str(same)]
+        assert_usage_error(args, capsys, "--stats")
+        assert same.read_text() == "earlier run\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_stats_and_output_may_share_a_pipe(tmp_path):
+    # Only a regular file is refused: on a pipe the stats follow the concepts.
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "conceptmine", "mine", str(data), "--min-support", "2"]
+    argv += ["--stats", "/dev/stdout", "-o", "/dev/stdout"]
+    done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 0, done.stderr
+    concepts, _, stats = done.stdout.partition("{")
+    assert sorted(concepts.splitlines()) == ["1 3 (2)", "2 3 (2)", "3 (4)"]
+    assert json.loads("{" + stats)["concepts_emitted"] == 3
 
 
 def test_mine_dense_width_has_no_capacity(tmp_path, capsys):
@@ -827,7 +858,7 @@ def test_mine_memory_on_a_deep_input_stays_near_the_parse(tmp_path):
     assert (peak_kb[1] - peak_kb[0]) < 12 * 1024, peak_kb
 
 
-@pytest.mark.parametrize("algorithm", ["lcm2", "lcm3"])
+@pytest.mark.parametrize("algorithm", ["cbo", "lcm2", "lcm3"])
 def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
     # perfbench/tracer.py rebinds module-level functions; a refactor that calls
     # them by another route would leave the traced layers empty.
@@ -835,10 +866,9 @@ def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
     data.write_text(K1_TEXT)
     spans = tmp_path / "spans.json"
     args = ["mine", str(data), "--algorithm", algorithm]
-    layers = {
-        "context.parse", "context.preprocess", "mining.mine_concepts", "mining.engine",
-        "lcm.frequencies", "lcm.cond_db", "lcm.deliver",
-    }
+    layers = {"context.parse", "context.preprocess", "mining.mine_concepts", "mining.engine"}
+    if algorithm != "cbo":
+        layers |= {"lcm.frequencies", "lcm.cond_db", "lcm.deliver"}
     if algorithm == "lcm3":
         args += ["--dense-width", "2"]
         layers.add("fptree.cond_tree")

@@ -308,6 +308,37 @@ def test_lcm_stats_pinned_on_a_fixed_corpus():
             assert got == want, (entry["corpus"], entry["seed"], support, config)
 
 
+def test_lcm_run_state_lives_in_the_run():
+    # Runs advanced in turn, one concept each, share no rule store and no
+    # counter: each yields the concepts, in the order, and the counters of the
+    # same run made alone.  Two of them mine the same context with pruning.
+    first = preprocess(random_context(2), 1)[0]
+    second = preprocess(random_context(15), 1)[0]
+    runs = [
+        (functools.partial(lcm2_enumerate, check_pruning=True), first),
+        (functools.partial(lcm3_enumerate, dense_width=4), second),
+        (lcm2_enumerate, first),
+    ]
+    alone = []
+    for engine, ctx in runs:
+        stats = EnumerationStats()
+        alone.append((list(engine(ctx, 1, stats=stats)), stats))
+    assert alone[0][1].pruning_rule_hits > 0 and alone[1][1].pruning_rule_hits > 0
+    together = [([], EnumerationStats()) for _ in runs]
+    pending = [
+        (engine(ctx, 1, stats=stats), concepts)
+        for (engine, ctx), (concepts, stats) in zip(runs, together)
+    ]
+    while pending:
+        for run in list(pending):
+            concept = next(run[0], None)
+            if concept is None:
+                pending.remove(run)
+            else:
+                run[1].append(concept)
+    assert together == alone
+
+
 def test_lcm_nodes_count_only_their_tail(monkeypatch):
     # Spied through the module, as perfbench/tracer.py does: a node counts its
     # tail within its extent, and only a node with a frequent extension then
