@@ -250,19 +250,25 @@ def _create(path: str, mode: str, created: list[str]):
     return f
 
 
+def _one_regular_file(stats: str, output: str) -> bool:
+    """Whether the stats would replace the concepts: both paths reach one regular file.
+
+    Paths that exist are compared as files, so hard links count; an output
+    that does not exist yet is compared by its resolved path.  Only a
+    regular file counts: /dev/stdout given twice, say, reaches a pipe or a
+    terminal.
+    """
+    if os.path.exists(output):
+        return os.path.isfile(output) and os.path.exists(stats) and os.path.samefile(stats, output)
+    return os.path.realpath(stats) == os.path.realpath(output)
+
+
 def _cmd_mine(args) -> int:
     if args.no_pruning and args.algorithm not in ("lcm2", "lcm3"):
         raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
     if args.dense_width is not None and args.algorithm != "lcm3":
         raise _UsageError("--dense-width applies only to --algorithm lcm3")
-    # The stats would replace the concepts.  Only a regular file is refused:
-    # /dev/stdout given twice, say, reaches a pipe or a terminal.
-    if (
-        args.stats
-        and args.output
-        and os.path.realpath(args.stats) == os.path.realpath(args.output)
-        and (os.path.isfile(args.output) or not os.path.exists(args.output))
-    ):
+    if args.stats and args.output and _one_regular_file(args.stats, args.output):
         raise _UsageError(f"--stats and --output name the same file: {args.output}")
     ctx, remap, min_support, dense_width = _load(args)
     stats = EnumerationStats()

@@ -10,24 +10,29 @@ the rows and are the only column form the context keeps.  Contexts are
 treated as immutable after construction, so any number of enumeration runs
 may share one.
 
-Ingest costs the distinct rows, not the objects: the FIMI parser counts its
-lines once, parses each distinct line once, and makes each distinct id set
-one list that all its lines share as their row; the cardinalities come from
-the line multiplicities.  Preprocessing maps each distinct row once and,
-when it merges them, fills the groups in one pass over the objects; as it
-keeps every object with its weight, it reads the cardinalities off its
-input.  Only the constructor, for input from outside, checks and counts
-rows; the package builds its own contexts unchecked through
-``_of_normal_rows``, and only ``validate()`` recounts a built context.
+Ingest costs the distinct rows, not the objects.  The FIMI parser splits
+its text a bounded piece at a time, so per input line it keeps only the
+reference to the line's row: no string of the line outlives its piece.
+Per distinct line it keeps the line's text and its count; it parses each
+distinct line once, converts each distinct token once, and makes each
+distinct id set one list that all its lines share as their row; the
+cardinalities come from the line counts.  Preprocessing maps each distinct
+row once and, when it merges them, fills the groups in one pass over the
+objects and turns each group into the tuple ``ObjectMerge`` keeps, so each
+object id is held once; as it keeps every object with its weight, it reads
+the cardinalities off its input.  Only the constructor, for input from
+outside, checks and counts rows; the package builds its own contexts
+unchecked through ``_of_normal_rows``, and only ``validate()`` recounts a
+built context.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse, islice
 
 from .bits import mask_of
 from .errors import ParseError
@@ -327,26 +332,48 @@ def _item_id(token: str) -> int:
     raise ParseError(f"expected an integer item id, got {token!r}")
 
 
-def _item_ids(line: str, known: dict[int, int]) -> tuple[int, ...]:
-    """The ascending distinct ids of one FIMI line, each added to ``known``.
+# Characters split into lines at a time.  A piece's line strings are the only
+# line strings alive beyond the distinct lines, so they bound what parsing
+# holds per input line; a piece costs a few Python steps plus one per new
+# distinct line, nothing next to the splitting and counting of its lines.
+# Parsing the 60,000 short lines of the sessions benchmark peaks at 1.8 MB
+# (tracemalloc) at this size, at 1.7 MB and about the same speed at 4,096,
+# and at 4.0 MB and no faster at 262,144.
+_PIECE = 1 << 16
 
-    An id already in ``known`` is returned as the int object stored there, so
-    that lines share their ids instead of holding one int object per token.
-    A line of ASCII digit tokens is converted in one pass; any other line,
-    or one with an id too long for ``int``, goes token by token, so that
-    its error names the token.
+
+def _pieces(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` a piece at a time, split as ``_lines`` does but keeping ``\r``.
+
+    A piece holds whole lines: it runs from where the last one stopped to the
+    first ``\n`` at least ``_PIECE`` characters on, or to the end.
     """
-    tokens = line.split()
-    joined = "".join(tokens)
-    ids = None
-    if joined.isascii() and joined.isdigit():
-        try:
-            ids = set(map(int, tokens))
-        except ValueError:  # more digits than the interpreter converts
-            pass
-    if ids is None:
-        ids = {_item_id(token) for token in tokens}
-    return tuple(sorted(map(known.setdefault, ids, ids)))
+    pos, size = 0, len(text)
+    while pos < size:
+        end = text.find("\n", pos + _PIECE)
+        if end < 0:  # the last piece, whose final newline ends no empty line
+            end = size - 1 if text[-1] == "\n" else size
+        yield text[pos:end].split("\n")
+        pos = end + 1
+
+
+def _item_ids(line: str, id_of: dict[str, int], known: dict[int, int]) -> tuple[int, ...]:
+    """The ascending distinct ids of one FIMI line.
+
+    Each token not yet in ``id_of`` is converted there, to the int object
+    that ``known`` holds for its value, so that ``007`` and ``7`` share one.
+    Tokens are converted in line order: an error names the line's first bad
+    token.
+    """
+    tokens = line.split()  # a trailing "\r" is whitespace to split()
+    try:
+        ids = set(map(id_of.__getitem__, tokens))
+    except KeyError:  # the line has new tokens
+        for token in filterfalse(id_of.__contains__, tokens):
+            value = _item_id(token)
+            id_of[token] = known.setdefault(value, value)
+        ids = set(map(id_of.__getitem__, tokens))
+    return tuple(sorted(ids))
 
 
 def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
@@ -355,40 +382,51 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
     Lines end at ``\n`` (a trailing ``\r`` is dropped) and item ids are ASCII
     decimal numbers.  Blank lines are empty rows.  Duplicate ids within a line
     are collapsed.  Observed ids are renumbered densely (ascending) to 1..k;
-    the remap records the original ids.  Each distinct line is parsed once,
-    and each distinct id set renumbered once into the one list that every
-    line of that set shares as its row; the cardinalities come from the
-    line multiplicities, counted once.  The source is decoded text; the
+    the remap records the original ids.  The source is decoded text; the
     command line decodes its input as UTF-8.
+
+    The source is split a bounded piece at a time, so per input line only
+    the reference to its row is kept: no string of the line outlives its
+    piece.  Per distinct line its text and its count are kept.  Each
+    distinct line is parsed once, each distinct token converted once, and
+    each distinct id set renumbered once into the one list that every line
+    of that set shares as its row; the cardinalities come from the line
+    counts.
     """
-    lines = _lines(source)
-    multiplicity = Counter(lines)  # distinct lines in order of first occurrence
+    id_of: dict[str, int] = {}  # every token seen -> its id
     known: dict[int, int] = {}  # every id seen, to itself
-    parsed: dict[str, tuple[int, ...]] = {}  # line text -> ascending distinct ids
-    for line in multiplicity:
-        try:
-            parsed[line] = _item_ids(line, known)
-        except ParseError as exc:
-            raise ParseError(str(exc), lines.index(line) + 1) from None
+    tallies: dict[tuple[int, ...], list[int]] = {}  # ascending original ids -> their row
+    row_of: dict[str, list[int]] = {}  # distinct line -> its row
+    counts: Counter[str] = Counter()  # distinct line -> its lines, in order of its first
+    rows: list[list[int]] = []
+    for lines in _pieces(source):
+        seen = len(counts)
+        counts.update(lines)
+        for line in islice(counts, seen, None):  # the piece's new distinct lines
+            try:
+                raw = _item_ids(line, id_of, known)
+            except ParseError as exc:
+                raise ParseError(str(exc), len(rows) + lines.index(line) + 1) from None
+            row = tallies.get(raw)
+            if row is None:
+                # Sized exactly, where a list built by appends is over-allocated;
+                # renumbered in place once every id is known.
+                row = tallies[raw] = list(raw)
+            row_of[line] = row
+        rows.extend(map(row_of.__getitem__, lines))
     ordered = sorted(known)
     old_to_new = {old: new for new, old in enumerate(ordered, start=1)}
-    tallies: dict[tuple[int, ...], list] = {}  # id set -> [its row, number of its lines]
-    row_of: dict[str, list[int]] = {}  # line text -> its row
-    for line, raw in parsed.items():
-        tally = tallies.get(raw)
-        if tally is None:
-            row = list(raw)  # sized exactly, where a list built by appends is over-allocated
-            row[:] = map(old_to_new.__getitem__, row)
-            tally = tallies[raw] = [row, 0]
-        tally[1] += multiplicity[line]
-        row_of[line] = tally[0]
+    lines_of = dict.fromkeys(map(id, tallies.values()), 0)  # id of a row -> its lines
+    for line, count in counts.items():
+        lines_of[id(row_of[line])] += count
     card = [0] * (len(ordered) + 1)
-    for row, count in tallies.values():
+    for row in tallies.values():
+        row[:] = map(old_to_new.__getitem__, row)
+        count = lines_of[id(row)]
         for a in row:
             card[a] += count
-    rows = list(map(row_of.__getitem__, lines))
     ctx = FormalContext._of_normal_rows(rows, [1] * len(rows), card)
-    ctx.distinct_rows = [row for row, _ in tallies.values()]
+    ctx.distinct_rows = list(tallies.values())
     return ctx, AttributeRemap(tuple(ordered), old_to_new)
 
 
@@ -508,9 +546,13 @@ def preprocess(
     # bit to every weighted popcount: it pays only when it halves the rows.
     merged = 2 * len(rows) <= ctx.num_objects
     if merged:  # one pass over the objects fills the groups
-        groups: list[list[int]] = [[] for _ in rows]
+        groups: list = [[] for _ in rows]  # lists while filled, then tuples
         for x, at in enumerate(map(group_of.__getitem__, map(id, ctx.rows))):
             groups[at].append(x)
+        # Each group becomes its tuple, and its list goes as it does: the
+        # object ids are held once, not in the lists and the tuples at once.
+        for at, group in enumerate(groups):
+            groups[at] = tuple(group)
         if ctx.total_weight == ctx.num_objects:  # every weight is 1
             weights = list(map(len, groups))
         else:
@@ -527,5 +569,5 @@ def preprocess(
     # Every object is kept with its weight, so each retained attribute keeps its cardinality.
     card = [0, *(ctx.attr_cardinality[a] for a in retained)]
     new_ctx = FormalContext._of_normal_rows(rows, weights, card)
-    merge = ObjectMerge(tuple(tuple(groups[r]) for r in order) if merged else tuple(zip(order)))
+    merge = ObjectMerge(tuple(map(groups.__getitem__, order)) if merged else tuple(zip(order)))
     return new_ctx, remap, merge

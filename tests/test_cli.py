@@ -291,6 +291,19 @@ def test_stats_and_output_on_one_file_are_refused(tmp_path, capsys):
         assert same.read_text() == "earlier run\n"
 
 
+def test_stats_and_output_on_two_hard_links_of_one_file_are_refused(tmp_path, capsys):
+    # Hard links are one file under two names that resolve to different paths.
+    data = tmp_path / "k1.dat"
+    data.write_text(K1_TEXT)
+    same = tmp_path / "same.txt"
+    same.write_text("earlier run\n")
+    link = tmp_path / "hard.txt"
+    os.link(same, link)
+    args = ["mine", str(data), "--stats", str(link), "-o", str(same)]
+    assert_usage_error(args, capsys, "--stats")
+    assert same.read_text() == "earlier run\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_stats_and_output_may_share_a_pipe(tmp_path):
     # Only a regular file is refused: on a pipe the stats follow the concepts.

@@ -13,6 +13,7 @@ from conceptmine import (
     ParseError,
     cbo_enumerate,
     compose_remaps,
+    context,
     down,
     enumerate_naive,
     lcm2_enumerate,
@@ -135,6 +136,16 @@ def test_parse_fimi_bad_token_on_repeated_line_reports_first_line():
         parse_fimi("1 2\n5\n1 2\n7 y\n1 2\n7 y\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_fimi("1\n3 x\n1\n3 x\n")
+    # CRLF lines, the same line with either ending, an unterminated last line
+    for text, line in [
+        ("1 2\r\n3 x\r\n3 x\r\n", 2),
+        ("1 2\r\n3 x\n3 x\r\n", 2),
+        ("3 x\r\n1\n3 x\r\n", 1),
+        ("1\n1\n1\n1 2 x\r", 4),
+    ]:
+        with pytest.raises(ParseError) as caught:
+            parse_fimi(text)
+        assert str(caught.value) == f"line {line}: expected an integer item id, got 'x'"
 
 
 def _duplicate_heavy_fimi(seed: int) -> tuple[str, list[set[int]]]:
@@ -254,6 +265,115 @@ def test_parse_fimi_peak_memory_stays_near_the_text_size():
         tracemalloc.stop()
     assert ctx.num_objects == ctx.num_attributes == 1200
     assert peak < 8 * len(text), (peak, len(text))
+
+
+def _reference_parse_fimi(text: str) -> tuple[list[list[int]], list[int]]:
+    """Plain FIMI parsing: each line's renumbered ids, and the original ids in order.
+
+    Lines end at ``\n`` with one trailing ``\r`` dropped; each token goes
+    through ``int``; a line's ids are deduplicated; ids are renumbered densely.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    items = [{int(t) for t in line.split()} for line in lines]
+    ordered = sorted(set().union(*items))
+    new = {old: k for k, old in enumerate(ordered, start=1)}
+    return [sorted(map(new.__getitem__, ids)) for ids in items], ordered
+
+
+def _varied_fimi(rng: random.Random, num_lines: int) -> str:
+    """FIMI text of repeated lines, mixed endings, odd whitespace and zero-padded ids."""
+    patterns = [rng.sample(range(1, 40), rng.randint(0, 6)) for _ in range(12)]
+    out = []
+    for _ in range(num_lines):
+        roll = rng.random()
+        if out and roll < 0.3:
+            out.append(rng.choice(out))  # the same line, as written
+            continue
+        ids = list(rng.choice(patterns)) if roll < 0.9 else []
+        ids += rng.sample(ids, min(len(ids), rng.randint(0, 2)))  # repeated ids
+        rng.shuffle(ids)
+        tokens = [f"{a:03d}" if rng.random() < 0.15 else str(a) for a in ids]  # 007 next to 7
+        seps = [" ", "  ", "\t", "\x0c", " \t"]
+        line = "".join(rng.choice(seps) + t for t in tokens) + rng.choice(["", " ", "\t"])
+        out.append(line + rng.choice(["\n", "\n", "\r\n"]))
+    text = "".join(out)
+    return text[:-1] if rng.random() < 0.5 else text  # maybe an unterminated last line
+
+
+def _assert_parses_as_reference(text: str) -> None:
+    ctx, remap = parse_fimi(text)
+    rows, ordered = _reference_parse_fimi(text)
+    assert ctx.rows == rows
+    assert remap.new_to_old == tuple(ordered)
+    assert remap.old_to_new == {old: k for k, old in enumerate(ordered, start=1)}
+    assert ctx.weights == [1] * len(rows)
+    card = [sum(k in row for row in rows) for k in range(1, len(ordered) + 1)]
+    assert ctx.attr_cardinality == [0, *card]
+    # One shared list per id set, and the distinct rows in order of first line.
+    first_row = {}
+    for row in ctx.rows:
+        assert first_row.setdefault(tuple(row), row) is row
+    assert ctx.distinct_rows == list(map(list, first_row))
+    assert list(map(id, ctx.distinct_rows)) == list(map(id, first_row.values()))
+    ctx.validate()
+
+
+@pytest.mark.parametrize("piece", [1, 3, 16, 100])
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_fimi_matches_a_plain_reference_across_pieces(monkeypatch, piece, seed):
+    # Small pieces put piece boundaries inside lines, at "\r\n" and at the end.
+    monkeypatch.setattr(context, "_PIECE", piece)
+    rng = random.Random(seed)
+    for num_lines in (0, 1, 2, 5, 40, 300):
+        _assert_parses_as_reference(_varied_fimi(rng, num_lines))
+    for text in ("", "\n", "\n\n", "\r\n", "7", "7\r", "1 2\n\n", "007 7 0\r\n\r\n3"):
+        _assert_parses_as_reference(text)
+
+
+def test_parse_fimi_matches_a_plain_reference_on_text_of_many_pieces():
+    text = _varied_fimi(random.Random(5), 24_000)
+    assert len(text) > 3 * context._PIECE
+    _assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("piece", [1, 4, None])
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_fimi_error_names_the_first_line_of_the_bad_token(monkeypatch, piece, seed):
+    if piece is not None:
+        monkeypatch.setattr(context, "_PIECE", piece)
+    rng = random.Random(seed)
+    lines = _varied_fimi(rng, 60).split("\n")
+    bad = rng.randrange(len(lines))
+    lines[bad] = lines[bad].removesuffix("\r") + " x" + rng.choice(["", "\r"])
+    # the bad line again further on, as written
+    for at in sorted(rng.sample(range(bad + 1, len(lines) + 1), min(3, len(lines) - bad))):
+        lines.insert(at, lines[bad])
+    with pytest.raises(ParseError) as caught:
+        parse_fimi("\n".join(lines))
+    assert caught.value.line == bad + 1
+    assert str(caught.value) == f"line {bad + 1}: expected an integer item id, got 'x'"
+
+
+def test_parse_fimi_keeps_no_string_per_input_line():
+    # 60,000 lines drawn from 200 distinct ones, as in a duplicate-heavy log:
+    # the parse keeps one row reference per line, not the line's text.
+    rng = random.Random(0)
+    distinct = [" ".join(map(str, rng.sample(range(100), rng.randint(1, 6)))) for _ in range(200)]
+    lines = [rng.choice(distinct) for _ in range(60_000)]
+    text = "\n".join(lines) + "\n"
+    one_string_per_line = sys.getsizeof(lines) + sum(map(sys.getsizeof, text.split("\n")))
+    del lines
+    tracemalloc.start()
+    try:
+        ctx, _ = parse_fimi(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.num_objects == 60_000
+    assert peak < one_string_per_line, (peak, one_string_per_line)
 
 
 CXT_MINIMAL = "B\n\n1\n1\n\nobj\nattr\nX\n"
