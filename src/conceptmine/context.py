@@ -306,21 +306,6 @@ class ObjectMerge(Frozen):
         return tuple(sorted(chain.from_iterable(map(self.groups.__getitem__, row_indices))))
 
 
-def _lines(text: str) -> list[str]:
-    """Split input into lines at ``\n`` only, dropping one trailing ``\r`` per line.
-
-    Unlike ``str.splitlines``, form feeds, vertical tabs, the Unicode line and
-    paragraph separators and the like stay inside their line.  A final
-    newline does not start an extra empty line.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    return lines
-
-
 def _item_id(token: str) -> int:
     if token.isascii() and token.isdigit():
         try:
@@ -343,10 +328,13 @@ _PIECE = 1 << 16
 
 
 def _pieces(text: str) -> Iterator[list[str]]:
-    """The lines of ``text`` a piece at a time, split as ``_lines`` does but keeping ``\r``.
+    """The lines of ``text`` a piece at a time, split at ``\n`` only, each ``\r`` kept.
 
-    A piece holds whole lines: it runs from where the last one stopped to the
-    first ``\n`` at least ``_PIECE`` characters on, or to the end.
+    Unlike ``str.splitlines``, form feeds, vertical tabs, the Unicode line and
+    paragraph separators and the like stay inside their line.  A final
+    newline does not start an extra empty line.  A piece holds whole lines:
+    it runs from where the last one stopped to the first ``\n`` at least
+    ``_PIECE`` characters on, or to the end.
     """
     pos, size = 0, len(text)
     while pos < size:
@@ -451,7 +439,7 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     follow it.  Names are kept on the returned context.  The source is
     decoded text, as for :func:`parse_fimi`.
     """
-    lines = _lines(source)
+    lines = [line.removesuffix("\r") for piece in _pieces(source) for line in piece]
     pos = 0
 
     def take(what: str) -> str:

@@ -15,7 +15,9 @@ attribute.
 Each list maps path bit-arrays to ``(weight, inner)`` tuples, so a tree holds
 no node objects, and the extension step takes each list's total weight and
 intersection of inners as it walks it.  Every tree, from rows, from a list
-or from the LCM3 engine's rows, comes from the one constructor.
+or from the LCM3 engine's rows, comes from the one constructor;
+``conditional_fptree(tree, attr, keep)`` hands it one list, its paths
+projected onto the attributes of ``keep``.
 
 All bit-arrays are plain Python integers (attribute k at bit k-1); equality,
 intersection and the key lookup are single int operations.  The LCM3 engine
@@ -48,7 +50,7 @@ class CompleteFpTree:
     ``path_mask`` raises :class:`ValueError`.
     """
 
-    def __init__(self, path_mask: int, nodes: Iterable = ()):
+    def __init__(self, path_mask: int, nodes: Iterable):
         if path_mask < 0:
             raise ValueError(f"path_mask must be non-negative, got {path_mask}")
         self.path_mask = path_mask
@@ -160,21 +162,16 @@ def build_complete_fptree(
     return CompleteFpTree((1 << width) - 1, zip(masks, zip(weights, masks)))
 
 
-def conditional_fptree(
-    tree: CompleteFpTree, attr: int, *, keep: int | None = None
-) -> CompleteFpTree:
+def conditional_fptree(tree: CompleteFpTree, attr: int, keep: int) -> CompleteFpTree:
     """Extract the conditional tree for ``attr``: its list extended with the key removed.
 
     The result spans only attributes more frequent than ``attr``.  ``keep`` is
-    a bit-array of the attributes the caller counted as frequent and outside
-    the closure; the list's paths are projected onto it before the extension,
-    so no other attribute gets a list, and an empty ``keep`` gives the empty
-    tree at once.  Without ``keep`` every attribute on the list's paths gets
-    one, whatever its weight.
+    a bit-array of the attributes to give lists (the engine passes those it
+    counted as frequent and outside the closure, and ``tree.path_mask`` keeps
+    every one); the list's paths are projected onto it before the extension,
+    and an empty ``keep`` gives the empty tree at once.
     """
-    path_mask = tree.path_mask & ((1 << (attr - 1)) - 1)
-    if keep is not None:
-        path_mask &= keep
+    path_mask = tree.path_mask & ((1 << (attr - 1)) - 1) & keep
     return CompleteFpTree(path_mask, tree.lists.get(attr, {}).items() if path_mask else ())
 
 

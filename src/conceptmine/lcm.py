@@ -16,17 +16,20 @@ node counts only its tail: the attributes of its parent's database at or
 above its anchor.  One pass over those counts gives the closure (the full
 attributes) and tells whether any other attribute is frequent.  A node with
 no such attribute is a leaf, and as in LCM ver. 2 it builds no database: its
-database would be the empty one.  Otherwise the same counts give the suffix,
+database would be the empty one.  Otherwise ``create_conditional_db(db,
+extent, anchor, min_weight, counted)`` takes the same counts for the suffix,
 with full, empty and infrequent attributes dropped.  The attributes below
 the anchor are carried into the prefix uncounted: the parent's canonicity
 test has just shown that none of them covers the extent, and one that does
-not reach the minimum support there can cover no delivered bucket either.  Frequencies come as a list aligned with
-the counted attributes, so the child's database keeps its attributes in
-order without a sort.  Occurrence deliver fills every child extent (bucket)
-with one AND per suffix attribute.  The canonicity test stops at the
-smallest violator, as in In-Close.  Children are expanded right to left,
-largest attribute first.  As in Close-by-One, each node's intent is an
-attribute bitmask, turned into ids only when the node is emitted.
+not reach the minimum support there can cover no delivered bucket either.
+Frequencies come as a list aligned with the counted attributes, so the
+child's database keeps its attributes in order without a sort.
+``occurrence_deliver(db)`` fills every child extent (bucket) with one AND
+per suffix attribute, as ascending ``(attribute, bucket)`` pairs.  The
+canonicity test stops at the smallest violator, as in In-Close.  Children
+are expanded right to left, largest attribute first.  As in Close-by-One,
+each node's intent is an attribute bitmask, turned into ids only when the
+node is emitted.
 
 Pruning reuses failed canonicity tests: when descending into attribute i
 forced some earlier attribute j into the closure, the rule "i adds j" skips
@@ -134,51 +137,44 @@ class ConditionalDatabase:
                 assert 0 < count < weight, f"suffix attribute {a} full or empty"
 
 
-def occurrence_deliver(db: ConditionalDatabase) -> dict[int, RowSet]:
-    """Fill one bucket per suffix attribute: the extent ANDed with its column."""
+def occurrence_deliver(db: ConditionalDatabase) -> list[tuple[int, RowSet]]:
+    """Fill one bucket per suffix attribute, ascending: ``(a, extent & column a)`` pairs."""
     extent = db.extent
     columns = db.ctx.columns
-    return {a: RowSet(extent & columns[a]) for a in db.suffix_attrs}
+    return [(a, RowSet(extent & columns[a])) for a in db.suffix_attrs]
 
 
 def frequencies(
-    db: ConditionalDatabase, extent: int | None = None, attrs: tuple[int, ...] | None = None
+    db: ConditionalDatabase, extent: int, attrs: tuple[int, ...]
 ) -> tuple[list[int], int]:
-    """Weighted frequency of each of ``attrs``, aligned with them, and the extent weight.
+    """Weighted frequency of each of ``attrs`` within the ``extent`` row bitset, and its weight.
 
-    ``attrs`` defaults to every attribute of ``db``, and the count is
-    restricted to the ``extent`` row bitset when given; an attribute that
-    does not occur there counts 0.
+    The counts are aligned with ``attrs``; an attribute that does not occur
+    in the extent counts 0.
     """
-    return db.ctx.column_weights(
-        db.extent if extent is None else extent, db.attrs if attrs is None else attrs
-    )
+    return db.ctx.column_weights(extent, attrs)
 
 
 def create_conditional_db(
     db: ConditionalDatabase,
     extent: int,
     anchor: int,
-    min_support: int = 0,
-    *,
-    counted: tuple[list[int], int] | None = None,
+    min_weight: int,
+    counted: tuple[list[int], int],
 ) -> ConditionalDatabase:
     """Project ``db`` onto an extent for recursion below ``anchor``.
 
-    Only the tail is counted: the attributes of ``db`` at or above the anchor,
-    of which the full, empty and infrequent ones are dropped.  Those below the
-    anchor move into the prefix uncounted, so the caller must know that none
-    of them covers the extent; a canonicity test that passed has shown it.
-    ``counted`` is ``frequencies(db, extent, tail)`` when the caller already
-    has it.
+    Only the tail is counted: ``counted`` is ``frequencies(db, extent,
+    tail)`` for the attributes of ``db`` at or above the anchor, of which the
+    full, empty and infrequent ones are dropped; ``min_weight`` must be at
+    least 1, so that an empty one is infrequent.  Those below the anchor move
+    into the prefix uncounted, so the caller must know that none of them
+    covers the extent; a canonicity test that passed has shown it.
     """
     attrs = db.attrs
     cut = bisect_left(attrs, anchor)
-    counts, extent_weight = (
-        counted if counted is not None else frequencies(db, extent, attrs[cut:])
-    )
-    threshold = max(1, min_support)
-    suffix = (a for a, n in zip(attrs[cut:], counts) if threshold <= n < extent_weight)
+    counts, extent_weight = counted
+    suffix = (a for a, n in zip(attrs[cut:], counts) if min_weight <= n < extent_weight)
     return ConditionalDatabase(
         db.ctx, anchor, (*attrs[:cut], *suffix), RowSet(extent), extent_weight
     )
@@ -312,9 +308,7 @@ def _lcm(
         stats.conditional_dbs_built += 1
         if not has_children:
             return
-        child_db = create_conditional_db(
-            db, extent, anchor, min_weight, counted=(counts, extent_weight)
-        )
+        child_db = create_conditional_db(db, extent, anchor, min_weight, (counts, extent_weight))
         del counts  # a frame lives as long as its subtree: keep only what the children need
         if len(child_db.suffix_attrs) <= dense_width:
             # Only here can the FP-trees engage, and whether they do depends on
@@ -333,7 +327,7 @@ def _lcm(
                 return
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
-        buckets = list(occurrence_deliver(child_db).items())
+        buckets = occurrence_deliver(child_db)
         if node_inspector is not None:
             weight_of = ctx.weight_of
             node_inspector(ids_of(closed), {a: weight_of(rows) for a, rows in buckets})
@@ -391,7 +385,7 @@ def _lcm(
                 counts, _ = ctx.column_weights(child, candidates)
                 keep = mask_of(a for a, n in zip(candidates, counts) if n >= min_weight)
             # Through the module: perfbench/tracer.py rebinds the name there.
-            sub = fptree.conditional_fptree(fp, attr, keep=keep)
+            sub = fptree.conditional_fptree(fp, attr, keep)
             stats.conditional_dbs_built += 1
             if sub.lists:
                 yield tree(sub, child, inter, suffix_mask)
@@ -414,34 +408,9 @@ def _lcm(
             yield emit((1 << n) - 1, 0, 0)
 
 
-def lcm2_enumerate(
-    ctx: FormalContext,
-    min_support: int = 0,
-    *,
-    pruning: bool = True,
-    stats: EnumerationStats | None = None,
-    with_extents: bool = False,
-    check_pruning: bool = False,
-    node_inspector: Callable | None = None,
-) -> Iterator[Concept]:
-    """Enumerate frequent closed attribute sets of a preprocessed context.
-
-    Yields one Concept per closed set with weighted support >= min_support,
-    in the context's own attribute and row ids.  ``check_pruning``
-    recomputes the closure for every rule-store skip and raises if the skip
-    was unsound (slow; verification only).  ``node_inspector`` is called per
-    inner node with the intent and the delivered bucket weights.
-    """
-    return lcm3_enumerate(
-        ctx,
-        min_support,
-        0,
-        pruning=pruning,
-        stats=stats,
-        with_extents=with_extents,
-        check_pruning=check_pruning,
-        node_inspector=node_inspector,
-    )
+def lcm2_enumerate(ctx: FormalContext, min_support: int = 0, **options) -> Iterator[Concept]:
+    """LCM2: :func:`lcm3_enumerate` with ``dense_width`` 0, which never engages the FP-trees."""
+    return lcm3_enumerate(ctx, min_support, 0, **options)
 
 
 def lcm3_enumerate(
@@ -455,11 +424,17 @@ def lcm3_enumerate(
     check_pruning: bool = False,
     node_inspector: Callable | None = None,
 ) -> Iterator[Concept]:
-    """LCM with the hybrid representation: row bitsets wide, complete FP-trees narrow.
+    """Enumerate frequent closed attribute sets of a preprocessed context.
 
-    Identical concept output to :func:`lcm2_enumerate` for every
-    ``dense_width``.  ``dense_width`` 0 disables the FP-trees entirely;
-    ``None`` (or ``math.inf``) engages them at every node.
+    LCM with the hybrid representation: row bitsets wide, complete FP-trees
+    narrow.  Yields one Concept per closed set with weighted support >=
+    min_support, in the context's own attribute and row ids; the output is
+    identical for every ``dense_width``.  ``dense_width`` 0 disables the
+    FP-trees entirely (LCM2); ``None`` (or ``math.inf``) engages them at every
+    node.  ``check_pruning`` recomputes the closure for every rule-store skip
+    and raises if the skip was unsound (slow; verification only).
+    ``node_inspector`` is called per inner node with the intent and the
+    delivered bucket weights.
     """
     if min_support < 0:
         raise ValueError("min_support must be non-negative")

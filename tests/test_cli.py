@@ -1,6 +1,7 @@
 import argparse
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -874,16 +875,18 @@ def test_mine_memory_on_a_deep_input_stays_near_the_parse(tmp_path):
 @pytest.mark.parametrize("algorithm", ["cbo", "lcm2", "lcm3"])
 def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
     # perfbench/tracer.py rebinds module-level functions; a refactor that calls
-    # them by another route would leave the traced layers empty.
-    data = tmp_path / "k1.dat"
-    data.write_text(K1_TEXT)
+    # them by another route would leave the traced layers empty.  Every
+    # 3-subset of 5 attributes: at width 4 lcm3 delivers at the root and
+    # builds conditional trees with nodes below it.
+    data = tmp_path / "c53.dat"
+    data.write_text("".join(f"{a} {b} {c}\n" for a, b, c in itertools.combinations(range(1, 6), 3)))
     spans = tmp_path / "spans.json"
     args = ["mine", str(data), "--algorithm", algorithm]
     layers = {"context.parse", "context.preprocess", "mining.mine_concepts", "mining.engine"}
     if algorithm != "cbo":
         layers |= {"lcm.frequencies", "lcm.cond_db", "lcm.deliver"}
     if algorithm == "lcm3":
-        args += ["--dense-width", "2"]
+        args += ["--dense-width", "4"]
         layers.add("fptree.cond_tree")
     done = subprocess.run(
         [sys.executable, "perfbench/tracer.py", str(spans), *args],
@@ -895,6 +898,16 @@ def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
     spans = json.loads(spans.read_text())
     names = {span[0] for span in spans}
     assert layers <= names, layers - names
+    # The benchmark's layer metrics read the count columns, which the tracer
+    # takes from the layers' arguments and results.
+    counts = {name: [span[4:] for span in spans if span[0] == name] for name in names}
+    if algorithm != "cbo":
+        assert any(a > 0 for a, _ in counts["lcm.frequencies"])
+        assert any(a > 0 for a, _ in counts["lcm.cond_db"])
+        # Rows in and rows out: a conditional database keeps its whole extent.
+        assert all(a == b for a, b in counts["lcm.cond_db"]), counts["lcm.cond_db"]
+    if algorithm == "lcm3":
+        assert any(nodes > 0 for nodes, _ in counts["fptree.cond_tree"])
     # perfbench/run.py takes the translation time as mining.mine_concepts less
     # the preprocess and engine spans, so those must run inside it.
     for span in spans:

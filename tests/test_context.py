@@ -454,6 +454,34 @@ def test_parse_cxt_crlf_and_separators_inside_names():
     assert ctx.rows == [[1], []]
 
 
+CXT_LINE_ENDS = [
+    (
+        "B\r\n\r\n2\r\n1\r\n\r\no\x0c1\r\no\u20282\r\na\x1c\r\nX\r\n.\r\n",
+        (["o\x0c1", "o\u20282"], ["a\x1c"], [[1], []]),
+    ),
+    # A name line, blank and "\r"-holding names, and no final newline.
+    (
+        "B\nctx\u2028name\n3\n2\n\n\r\no\rp\x0c\n\na1\n\x0ca2\r\nX.\r\n..\n.X",
+        (["", "o\rp\x0c", ""], ["a1", "\x0ca2"], [[1], [], [2]]),
+    ),
+    # Blank lines after the last row are never read.
+    ("B\n\n1\n3\n\n\u2028\nx\r\ny\n\n.X.\r\n\r\n\n", (["\u2028"], ["x", "y", ""], [[2]])),
+]
+
+
+@pytest.mark.parametrize("piece", [1, 3, 16, None])
+def test_parse_cxt_splits_lines_alike_across_pieces(monkeypatch, piece):
+    # parse_cxt takes its lines from the pieces parse_fimi reads: small pieces
+    # put piece boundaries inside names, at "\r\n" and at the end.
+    if piece is not None:
+        monkeypatch.setattr(context, "_PIECE", piece)
+    for text, (object_names, attr_names, rows) in CXT_LINE_ENDS:
+        ctx, _ = parse_cxt(text)
+        assert ctx.object_names == object_names, text
+        assert ctx.attr_names == attr_names, text
+        assert ctx.rows == rows, text
+
+
 def test_preprocess_k1_attribute_order():
     ctx = FormalContext(K1_ROWS)
     pre, remap, merge = preprocess(ctx, 0)

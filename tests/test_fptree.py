@@ -74,7 +74,7 @@ def test_tree_rejects_a_negative_path_mask():
 
 def test_conditional_tree_on_attribute_3():
     tree = build_complete_fptree(K1_DENSE)
-    cond = conditional_fptree(tree, 3)
+    cond = conditional_fptree(tree, 3, tree.path_mask)
     assert nodes_of(cond, 1) == [((1,), 2, (1, 3))]
     assert nodes_of(cond, 2) == [((1, 2), 1, (1, 2, 3))]
     cond.validate()
@@ -82,12 +82,12 @@ def test_conditional_tree_on_attribute_3():
 
 def test_conditional_tree_trivial_cases():
     single = build_complete_fptree([[1]])
-    assert conditional_fptree(single, 1).lists == {}
+    assert conditional_fptree(single, 1, single.path_mask).lists == {}
     tree = build_complete_fptree(K1_DENSE)
-    assert conditional_fptree(tree, 1).lists == {}  # the most frequent attribute
+    assert conditional_fptree(tree, 1, tree.path_mask).lists == {}  # the most frequent attribute
     # an attribute with no list yields an empty tree as well
     sparse = build_complete_fptree([[1, 2]], width=5)
-    assert conditional_fptree(sparse, 4).lists == {}
+    assert conditional_fptree(sparse, 4, sparse.path_mask).lists == {}
 
 
 def test_intent_of_list_values():
@@ -96,7 +96,7 @@ def test_intent_of_list_values():
     assert intent_of_list(tree, 3) == ((1, 3), 2)
     assert intent_of_list(tree, 4) == ((1, 4), 1)
     with pytest.raises(ValueError):
-        intent_of_list(conditional_fptree(tree, 1), 1)
+        intent_of_list(conditional_fptree(tree, 1, tree.path_mask), 1)
 
 
 def test_list_weights_equal_attribute_cardinalities():
@@ -154,7 +154,7 @@ def test_conditional_chain_equals_restricted_build():
         rows = [r for r in ctx.rows if r]
         tree = build_complete_fptree(rows, width=ctx.num_attributes)
         for a in list(tree.attributes()):
-            cond = conditional_fptree(tree, a)
+            cond = conditional_fptree(tree, a, tree.path_mask)
             projected = [[x for x in row if x < a] for row in rows if a in row]
             projected = [r for r in projected if r]
             if not projected:
@@ -167,7 +167,7 @@ def test_conditional_chain_equals_restricted_build():
 
 
 def test_conditional_tree_with_keep_matches_grouped_rows():
-    # List k of conditional_fptree(tree, attr, keep=...) groups the weighted rows
+    # List k of conditional_fptree(tree, attr, keep) groups the weighted rows
     # containing attr and k by their projection onto keep and 1..k; the inner
     # is the intersection of the whole rows of a group.
     rng = random.Random(11)
@@ -180,9 +180,9 @@ def test_conditional_tree_with_keep_matches_grouped_rows():
         weights = [rng.randrange(1, 4) for _ in rows]
         tree = build_complete_fptree(rows, weights, width=width)
         for attr in range(1, width + 1):
-            assert conditional_fptree(tree, attr, keep=0).lists == {}
+            assert conditional_fptree(tree, attr, 0).lists == {}
             keep = rng.getrandbits(attr - 1)
-            cond = conditional_fptree(tree, attr, keep=keep)
+            cond = conditional_fptree(tree, attr, keep)
             cond.validate()
             want = {}
             for row, w in zip(rows, weights):
@@ -378,8 +378,8 @@ def test_lcm3_mines_without_node_objects(monkeypatch):
     original = fptree.conditional_fptree
     built = []
 
-    def counted(tree, attr, *args, **kwargs):
-        sub = original(tree, attr, *args, **kwargs)
+    def counted(tree, attr, keep):
+        sub = original(tree, attr, keep)
         built.append(len(sub.lists))
         return sub
 
@@ -402,8 +402,8 @@ def test_engine_conditional_trees_hold_frequent_non_closed_lists(monkeypatch):
     original = fptree.conditional_fptree
     built = []
 
-    def checked(tree, attr, *args, **kwargs):
-        sub = original(tree, attr, *args, **kwargs)
+    def checked(tree, attr, keep):
+        sub = original(tree, attr, keep)
         sub.validate()
         closure_bits = -1
         for _, inner in tree.lists[attr].values():
@@ -446,13 +446,13 @@ def test_engine_list_intersections_are_the_rows_intersections(monkeypatch):
             assert inter == functools.reduce(operator.and_, held), key
         checked.append(len(tree.inters))
 
-    def spy(tree, attr, *args, **kwargs):
+    def spy(tree, attr, keep):
         masks = pre.row_masks
         if id(tree) not in rows_of:
             check(tree, [masks[x] for x in emitted[-2].extent])
         child_rows = [masks[x] for x in emitted[-1].extent]
         assert child_rows == [m for m in rows_of[id(tree)][1] if m >> (attr - 1) & 1]
-        sub = original(tree, attr, *args, **kwargs)
+        sub = original(tree, attr, keep)
         check(sub, child_rows)
         return sub
 

@@ -41,8 +41,10 @@ def members(rows):
 def test_occurrence_deliver_k1_root():
     # Root node after closing {3}: live children are 1, 2, 4.
     root = k1_root_db()
-    db = create_conditional_db(root, root.extent, 0)
-    buckets = occurrence_deliver(db)
+    db = create_conditional_db(root, root.extent, 0, 1, frequencies(root, root.extent, root.attrs))
+    # Ascending pairs: the engine pops the largest attribute first.
+    assert [a for a, _ in occurrence_deliver(db)] == [1, 2, 4]
+    buckets = dict(occurrence_deliver(db))
     weight_of = db.ctx.weight_of
     assert members(buckets[1]) == [0, 1] and weight_of(buckets[1]) == 2
     assert members(buckets[2]) == [0, 2] and weight_of(buckets[2]) == 2
@@ -52,44 +54,45 @@ def test_occurrence_deliver_k1_root():
 
 def test_occurrence_deliver_single_row():
     db = root_database(FormalContext([[1, 2]]))
-    buckets = occurrence_deliver(db)
+    buckets = dict(occurrence_deliver(db))
     assert members(buckets[1]) == members(buckets[2]) == [0]
 
 
 def test_occurrence_deliver_weighted_rows():
     db = root_database(FormalContext([[1, 2], [1], [2]], weights=[3, 5, 6]))
-    buckets = occurrence_deliver(db)
-    assert sorted(buckets) == [1, 2]  # one bucket per suffix attribute
+    buckets = dict(occurrence_deliver(db))
+    assert list(buckets) == [1, 2]  # one bucket per suffix attribute
     assert members(buckets[1]) == [0, 1] and db.ctx.weight_of(buckets[1]) == 8
     assert members(buckets[2]) == [0, 2] and db.ctx.weight_of(buckets[2]) == 9
 
 
 def test_frequencies_k1_root():
-    assert frequencies(k1_root_db()) == ([2, 2, 4, 1], 4)
+    db = k1_root_db()
+    assert frequencies(db, db.extent, db.attrs) == ([2, 2, 4, 1], 4)
 
 
 def test_frequencies_counts_interior_intersections():
     # Conditional database built below: prefix attributes {1, 2}, suffix {5}.
     # The prefix attributes stand where interior intersections stood in a
-    # row-merging database; by default they are counted like the suffix ones.
+    # row-merging database, and frequencies counts them like the suffix ones.
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3)
+    db = create_conditional_db(base, base.extent, 3, 1, frequencies(base, base.extent, (4, 5)))
     assert db.attrs == (1, 2, 5)
-    assert frequencies(db) == ([2, 2, 1], 3)
-    assert frequencies(db, RowSet(0b110)) == ([1, 2, 1], 2)
-    assert frequencies(db, RowSet(0b010)) == ([0, 1, 0], 1)  # zeros stay aligned
+    assert frequencies(db, db.extent, db.attrs) == ([2, 2, 1], 3)
+    assert frequencies(db, RowSet(0b110), db.attrs) == ([1, 2, 1], 2)
+    assert frequencies(db, RowSet(0b010), db.attrs) == ([0, 1, 0], 1)  # zeros stay aligned
     assert frequencies(db, RowSet(0b110), db.suffix_attrs) == ([1], 2)
 
 
 def test_frequencies_empty_db():
     db = root_database(FormalContext([], num_attributes=0))
-    assert frequencies(db) == ([], 0)
+    assert frequencies(db, db.extent, db.attrs) == ([], 0)
 
 
 def test_create_conditional_db_steps():
     """Full attribute 4 and empty attribute 3 drop; live attributes split at the anchor."""
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3)
+    db = create_conditional_db(base, base.extent, 3, 1, frequencies(base, base.extent, (4, 5)))
     assert db.suffix_attrs == (5,)
     assert db.prefix_attrs == (1, 2)
     assert members(db.extent) == [0, 1, 2] and db.num_rows == 3
@@ -99,7 +102,7 @@ def test_create_conditional_db_steps():
 
 def test_conditional_database_validate_checks_the_order_and_the_split():
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3)
+    db = create_conditional_db(base, base.extent, 3, 1, frequencies(base, base.extent, (4, 5)))
     assert (db.attrs, db.split) == ((1, 2, 5), 2)
     db.attrs = (2, 1, 5)
     with pytest.raises(AssertionError, match="ascending"):
@@ -111,7 +114,7 @@ def test_conditional_database_validate_checks_the_order_and_the_split():
 
 def test_create_conditional_db_drops_infrequent():
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3, 2)
+    db = create_conditional_db(base, base.extent, 3, 2, frequencies(base, base.extent, (4, 5)))
     assert db.suffix_attrs == ()  # 5 occurs once
     assert db.prefix_attrs == (1, 2)
     db.validate()
@@ -119,14 +122,18 @@ def test_create_conditional_db_drops_infrequent():
 
 def test_create_conditional_db_mid_tree_node():
     # K1 at the node with intent {1,3}: extent rows 0 and 1, anchor 1.
-    db = create_conditional_db(k1_root_db(), RowSet(0b11), 1)
+    root = k1_root_db()
+    extent = RowSet(0b11)
+    db = create_conditional_db(root, extent, 1, 1, frequencies(root, extent, root.attrs))
     assert db.suffix_attrs == (2,)
-    assert members(occurrence_deliver(db)[2]) == [0]
+    assert [(a, members(rows)) for a, rows in occurrence_deliver(db)] == [(2, [0])]
     assert db.extent_weight == 2
 
 
 def test_create_conditional_db_single_row():
-    db = create_conditional_db(k1_root_db(), RowSet(0b1), 0)
+    root = k1_root_db()
+    extent = RowSet(0b1)
+    db = create_conditional_db(root, extent, 0, 1, frequencies(root, extent, root.attrs))
     # a one-row database has every attribute full: nothing survives
     assert db.suffix_attrs == ()
     assert db.extent_weight == 1
@@ -347,13 +354,13 @@ def test_lcm_nodes_count_only_their_tail(monkeypatch):
     frequencies_of = lcm_module.frequencies
     create = lcm_module.create_conditional_db
 
-    def spy_frequencies(db, extent=None, attrs=None):
+    def spy_frequencies(db, extent, attrs):
         counted = frequencies_of(db, extent, attrs)
-        events.append(("count", extent, db.attrs, db.attrs if attrs is None else attrs, counted))
+        events.append(("count", extent, db.attrs, attrs, counted))
         return counted
 
-    def spy_create(db, extent, anchor, *args, **kwargs):
-        child = create(db, extent, anchor, *args, **kwargs)
+    def spy_create(db, extent, anchor, min_weight, counted):
+        child = create(db, extent, anchor, min_weight, counted)
         events.append(("db", extent, anchor, child))
         return child
 
@@ -440,15 +447,15 @@ def test_lcm2_interior_intersection_canonicity():
         ctx = random_context(i)
         pre, _, _ = preprocess(ctx, 1)
         db = root_database(pre)
-        counts, weight = frequencies(db)
+        counts, weight = frequencies(db, db.extent, db.attrs)
         live = [a for a, n in zip(db.attrs, counts) if 0 < n < weight]
         if len(live) < 2:
             continue
         anchor = live[len(live) // 2]
-        child = create_conditional_db(db, db.extent, anchor)
-        for extent_attr in child.suffix_attrs:
-            rows = occurrence_deliver(child)[extent_attr]
-            sub_counts, sub_weight = frequencies(child, rows)
+        tail = db.attrs[db.attrs.index(anchor) :]
+        child = create_conditional_db(db, db.extent, anchor, 1, frequencies(db, db.extent, tail))
+        for extent_attr, rows in occurrence_deliver(child):
+            sub_counts, sub_weight = frequencies(child, rows, child.attrs)
             sub_counts = dict(zip(child.attrs, sub_counts))
             closed = closure(pre, (extent_attr,))
             for p in child.prefix_attrs:
