@@ -21,7 +21,8 @@ row once and, when it merges them, fills the groups in one pass over the
 objects and turns each group into the tuple ``ObjectMerge`` keeps, so each
 object id is held once; as it keeps every object with its weight, it reads
 the cardinalities off its input.  Only the constructor, for input from
-outside, checks and counts rows; the package builds its own contexts
+outside, converts ids to int, checks and counts rows, for
+``build_complete_fptree`` too; the package builds its own contexts
 unchecked through ``_of_normal_rows``, and only ``validate()`` recounts a
 built context.
 """
@@ -41,7 +42,7 @@ from .errors import ParseError
 class FormalContext:
     """Weighted object/attribute incidence table.
 
-    Invariants: every row is strictly ascending with ids in 1..num_attributes,
+    Invariants: every row is strictly ascending with int ids in 1..num_attributes,
     every weight is an int >= 1, and ``attr_cardinality[y]`` is the weighted
     number of rows containing ``y`` (index 0 is unused padding).  Equal rows
     share one list object, however they were written, so rows must not be
@@ -57,13 +58,17 @@ class FormalContext:
         object_names: Sequence[str] | None = None,
         attr_names: Sequence[str] | None = None,
     ):
-        # Equal rows normalise to one shared list, however they are written, so
-        # each distinct row is normalised, checked and counted once.
-        normal: dict[tuple, list[int]] = {}  # a row as given, or its ids ascending -> its list
+        # Each id becomes an int (numpy's too) before the lookup, where 1.0
+        # would equal 1.  Equal rows share one list, however they are written,
+        # so each distinct row is sorted, checked and counted once.
+        normal: dict[tuple, list[int]] = {}  # a row's ids as given, or ascending -> its list
         distinct: list[list[int]] = []
         shared: list[list[int]] = []
         for row in rows:
-            key = tuple(row)
+            try:
+                key = tuple(map(operator.index, row))
+            except TypeError:
+                raise ValueError(f"attribute ids must be integers, got {row!r}") from None
             same = normal.get(key)
             if same is None:
                 ids = tuple(sorted(set(key)))
@@ -86,9 +91,11 @@ class FormalContext:
             if weights and min(weights) < 1:
                 raise ValueError("row weights must be positive")
         highest = max((row[-1] for row in distinct if row), default=0)
-        if num_attributes is None:
-            num_attributes = highest
-        elif highest > num_attributes:
+        try:
+            num_attributes = highest if num_attributes is None else operator.index(num_attributes)
+        except TypeError:
+            raise ValueError(f"num_attributes must be an integer, got {num_attributes!r}") from None
+        if highest > num_attributes:
             raise ValueError(f"attribute id {highest} exceeds declared count {num_attributes}")
         lowest = min((row[0] for row in distinct if row), default=1)
         if lowest < 1:
@@ -345,21 +352,18 @@ def _pieces(text: str) -> Iterator[list[str]]:
         pos = end + 1
 
 
-def _item_ids(line: str, id_of: dict[str, int], known: dict[int, int]) -> tuple[int, ...]:
+def _item_ids(line: str, id_of: dict[str, int]) -> tuple[int, ...]:
     """The ascending distinct ids of one FIMI line.
 
-    Each token not yet in ``id_of`` is converted there, to the int object
-    that ``known`` holds for its value, so that ``007`` and ``7`` share one.
-    Tokens are converted in line order: an error names the line's first bad
-    token.
+    Each token not yet in ``id_of`` is converted there.  Tokens are converted
+    in line order: an error names the line's first bad token.
     """
     tokens = line.split()  # a trailing "\r" is whitespace to split()
     try:
         ids = set(map(id_of.__getitem__, tokens))
     except KeyError:  # the line has new tokens
         for token in filterfalse(id_of.__contains__, tokens):
-            value = _item_id(token)
-            id_of[token] = known.setdefault(value, value)
+            id_of[token] = _item_id(token)
         ids = set(map(id_of.__getitem__, tokens))
     return tuple(sorted(ids))
 
@@ -382,7 +386,6 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
     counts.
     """
     id_of: dict[str, int] = {}  # every token seen -> its id
-    known: dict[int, int] = {}  # every id seen, to itself
     tallies: dict[tuple[int, ...], list[int]] = {}  # ascending original ids -> their row
     row_of: dict[str, list[int]] = {}  # distinct line -> its row
     counts: Counter[str] = Counter()  # distinct line -> its lines, in order of its first
@@ -392,7 +395,7 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
         counts.update(lines)
         for line in islice(counts, seen, None):  # the piece's new distinct lines
             try:
-                raw = _item_ids(line, id_of, known)
+                raw = _item_ids(line, id_of)
             except ParseError as exc:
                 raise ParseError(str(exc), len(rows) + lines.index(line) + 1) from None
             row = tallies.get(raw)
@@ -402,16 +405,13 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
                 row = tallies[raw] = list(raw)
             row_of[line] = row
         rows.extend(map(row_of.__getitem__, lines))
-    ordered = sorted(known)
+    ordered = sorted(set(id_of.values()))
     old_to_new = {old: new for new, old in enumerate(ordered, start=1)}
-    lines_of = dict.fromkeys(map(id, tallies.values()), 0)  # id of a row -> its lines
-    for line, count in counts.items():
-        lines_of[id(row_of[line])] += count
-    card = [0] * (len(ordered) + 1)
     for row in tallies.values():
         row[:] = map(old_to_new.__getitem__, row)
-        count = lines_of[id(row)]
-        for a in row:
+    card = [0] * (len(ordered) + 1)
+    for line, count in counts.items():
+        for a in row_of[line]:
             card[a] += count
     ctx = FormalContext._of_normal_rows(rows, [1] * len(rows), card)
     ctx.distinct_rows = list(tallies.values())

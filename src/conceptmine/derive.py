@@ -10,6 +10,7 @@ explicit-stack driver every fast engine runs its generation tree on.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 
 from .bits import ids_of
@@ -126,7 +127,7 @@ def up(ctx: FormalContext, objects: Iterable[int]) -> tuple[int, ...]:
 def down(ctx: FormalContext, attrs: Iterable[int]) -> ObjectSet:
     """Objects whose rows contain every given attribute; all objects for the empty set."""
     want = 0
-    for a in attrs:
+    for a in map(operator.index, attrs):  # numpy's ids as int, whose shifts cannot overflow
         if not 1 <= a <= ctx.num_attributes:
             raise IndexError(f"attribute id {a} out of range")
         want |= 1 << (a - 1)

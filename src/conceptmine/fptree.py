@@ -14,9 +14,10 @@ attribute.
 
 Each list maps path bit-arrays to ``(weight, inner)`` tuples, so a tree holds
 no node objects, and the extension step takes each list's total weight and
-intersection of inners as it walks it.  Every tree, from rows, from a list
-or from the LCM3 engine's rows, comes from the one constructor;
-``conditional_fptree(tree, attr, keep)`` hands it one list, its paths
+intersection of inners as it walks it.  Every tree comes from the one
+constructor: ``tree_of_rows(ctx, rows, path_mask)`` hands it rows of a
+checked context, for :func:`build_complete_fptree` and the LCM3 engine
+alike, and ``conditional_fptree(tree, attr, keep)`` one list, its paths
 projected onto the attributes of ``keep``.
 
 All bit-arrays are plain Python integers (attribute k at bit k-1); equality,
@@ -26,10 +27,10 @@ that mines on these trees lives in :mod:`conceptmine.lcm`.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Sequence
 
 from .bits import ids_of
+from .context import FormalContext
 
 DEFAULT_DENSE_WIDTH = 128
 
@@ -121,6 +122,12 @@ class CompleteFpTree:
             assert inter == self.inters[key], "list intersection differs from its inners"
 
 
+def tree_of_rows(ctx: FormalContext, rows: Iterable[int], path_mask: int) -> CompleteFpTree:
+    """The tree over ``path_mask`` of the rows at ``rows``, each row's mask its path and inner."""
+    masks, weights = ctx.row_masks, ctx.weights
+    return CompleteFpTree(path_mask, ((masks[x], (weights[x], masks[x])) for x in rows))
+
+
 def build_complete_fptree(
     rows: Iterable[Iterable[int]],
     weights: Sequence[int] | None = None,
@@ -129,37 +136,17 @@ def build_complete_fptree(
 ) -> CompleteFpTree:
     """Build the fully extended tree for weighted rows over a dense universe.
 
-    The initial step files each row under its least-frequent attribute,
-    merging equal rows by weight; the extension step then propagates every
-    node toward the root, summing weights and intersecting inners.  Rows must
-    be non-empty.
+    The rows and weights are checked as :class:`FormalContext` checks them,
+    with ``width`` as its attribute count (by default the highest id), and
+    rows must be non-empty.  The initial step files each row under its
+    least-frequent attribute, merging equal rows by weight; the extension
+    step then propagates every node toward the root, summing weights and
+    intersecting inners.
     """
-    masks = []
-    for row in rows:
-        mask = 0
-        for a in row:
-            if a < 1:
-                raise ValueError(f"attribute id {a} out of range")
-            mask |= 1 << (a - 1)
-        if mask == 0:
-            raise ValueError("rows must be non-empty")
-        masks.append(mask)
-    if width is None:
-        width = max((m.bit_length() for m in masks), default=0)
-    elif any(m.bit_length() > width for m in masks):
-        raise ValueError(f"row attribute exceeds universe width {width}")
-    if weights is None:
-        weights = [1] * len(masks)
-    else:
-        try:
-            weights = list(map(operator.index, weights))
-        except TypeError:
-            raise ValueError("row weights must be integers") from None
-        if len(weights) != len(masks):
-            raise ValueError("weights and rows differ in length")
-        if any(w < 1 for w in weights):
-            raise ValueError("row weights must be positive")
-    return CompleteFpTree((1 << width) - 1, zip(masks, zip(weights, masks)))
+    ctx = FormalContext(rows, weights, width)
+    if not all(ctx.distinct_rows):
+        raise ValueError("rows must be non-empty")
+    return tree_of_rows(ctx, range(ctx.num_objects), (1 << ctx.num_attributes) - 1)
 
 
 def conditional_fptree(tree: CompleteFpTree, attr: int, keep: int) -> CompleteFpTree:

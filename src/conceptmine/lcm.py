@@ -41,14 +41,14 @@ within ``dense_width``, then mines the whole subtree on complete FP-trees.
 Only a node whose frequent suffix fits can engage, so only such a node
 counts its prefix too, for the number of frequent prefix attributes;
 elsewhere the prefix stays uncounted, as in LCM2.  The FP-trees come from
-:mod:`conceptmine.fptree`: the tree's constructor takes the rows of the
-node's extent bitset, each row's mask projected onto the suffix attributes
-as its path and whole as its inner, as :func:`build_complete_fptree` files
-rows.  Lists act as the delivered buckets, conditional trees replace
-conditional databases, and each list's intersection of inners, which the
-extension step takes as it sums the list, is the child's intent: closure
-and canonicity are read off it.  Inside such a subtree the generation order
-is mirrored - children add attributes in descending id order, because a
+:mod:`conceptmine.fptree`: ``tree_of_rows`` files the rows of the node's
+extent bitset, each row's mask projected onto the suffix attributes as its
+path and whole as its inner, as it does for :func:`build_complete_fptree`.
+Lists act as the delivered buckets, conditional trees replace conditional
+databases, and each list's intersection of inners, which the extension step
+takes as it sums the list, is the child's intent: closure and canonicity
+are read off it.  Inside such a subtree the generation order is
+mirrored - children add attributes in descending id order, because a
 conditional tree only spans attributes more frequent than its key - and the
 subtree still owns exactly the closed sets whose closure adds no attribute
 below the engagement anchor.  Each node's extent bitset is carried down.
@@ -76,7 +76,7 @@ from .bits import RowSet, ids_of, mask_of, set_bits
 from .context import FormalContext
 from .derive import Concept, EnumerationStats, closure, depth_first
 from .errors import ConfigurationError, PruningSoundnessError
-from .fptree import DEFAULT_DENSE_WIDTH, CompleteFpTree
+from .fptree import DEFAULT_DENSE_WIDTH, tree_of_rows
 
 
 class ConditionalDatabase:
@@ -321,9 +321,8 @@ def _lcm(
                 # paths are the suffix attributes: a row without one feeds no
                 # deeper extent.
                 suffix_mask = mask_of(child_db.suffix_attrs)
-                masks, weights = ctx.row_masks, ctx.weights
-                rows = ((masks[x], (weights[x], masks[x])) for x in set_bits(extent))
-                yield tree(CompleteFpTree(suffix_mask, rows), extent, closed, suffix_mask)
+                fp = tree_of_rows(ctx, set_bits(extent), suffix_mask)
+                yield tree(fp, extent, closed, suffix_mask)
                 return
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
@@ -355,7 +354,7 @@ def _lcm(
                 yield node(child_db, child, closed, a)
         rules.pop_frame()
 
-    def tree(fp: CompleteFpTree, extent: int, closed: int, suffix_mask: int):
+    def tree(fp: fptree.CompleteFpTree, extent: int, closed: int, suffix_mask: int):
         # ``extent`` is the row bitset of the node and ``closed`` its intent.
         # The inners are whole rows, so each list's intersection is its child's
         # intent.

@@ -12,6 +12,7 @@ from conceptmine import (
     FormalContext,
     ParseError,
     cbo_enumerate,
+    closure,
     compose_remaps,
     context,
     down,
@@ -715,6 +716,13 @@ def test_context_rejects_bad_rows_and_weights():
         FormalContext([[1], [1], [1]], weights=[1, 0, 1])
     with pytest.raises(ValueError, match="differ in length"):
         FormalContext([[1], [1]], weights=[1])
+    # Ids and the count index bits: a float or a string is no id, not even
+    # one equal to the id of an earlier row.
+    for rows in ([[1.0]], [["1"]], [[2], [1, 2.5]], [[1], [1.0]]):
+        with pytest.raises(ValueError, match="attribute ids must be integers"):
+            FormalContext(rows)
+    with pytest.raises(ValueError, match="num_attributes must be an integer"):
+        FormalContext([[1]], num_attributes=2.0)
 
 
 def test_context_weights_must_be_integers():
@@ -727,6 +735,17 @@ def test_context_weights_must_be_integers():
     for algorithm in ("cbo", "lcm2", "lcm3"):
         mined = mine_concepts(ctx, 1, algorithm=algorithm)
         assert {(c.intent, c.support) for c in mined} == {((2,), 3), ((1, 2), 2)}
+    # numpy ids and counts are stored as int too: a numpy int's shift would
+    # wrap, and attribute 70 would drop out of its row's mask.
+    ctx = FormalContext([[np.int64(70), np.int64(2)], [np.int64(70)]])
+    assert ctx.row_masks == [1 << 69 | 2, 1 << 69]
+    assert {type(a) for row in ctx.rows for a in row} == {type(m) for m in ctx.row_masks} == {int}
+    assert closure(ctx, (70,)) == (70,)
+    plain = FormalContext([[70, 2], [70]])
+    for engine in (cbo_enumerate, lcm2_enumerate, lcm3_enumerate):
+        assert set(engine(ctx, with_extents=True)) == set(engine(plain, with_extents=True))
+    ctx = FormalContext([[1]], num_attributes=np.int64(70))
+    assert type(ctx.num_attributes) is int and ctx.num_attributes == 70
 
 
 def test_preprocess_merges_only_when_that_halves_the_rows():

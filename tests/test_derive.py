@@ -80,6 +80,13 @@ def test_weighted_down():
     ctx = FormalContext([[1, 2], [2]], weights=[3, 2])
     assert down(ctx, [2]).weighted_size == 5
     assert down(ctx, [1, 2]).weighted_size == 3
+    # numpy ids are taken as int: a numpy int mask cannot meet a 70-bit row.
+    np = pytest.importorskip("numpy")
+    wide = FormalContext([[2, 70], [2], [3, 70]], weights=[3, 2, 1])
+    assert down(wide, [np.int64(70)]) == down(wide, [70])
+    assert down(wide, [np.int64(70)]).weighted_size == 4
+    assert down(wide, [np.int64(3)]).members == (2,)
+    assert closure(wide, [np.int64(3)]) == (3, 70)
 
 
 def test_naive_k1_full(k1):

@@ -50,6 +50,13 @@ def test_build_merges_identical_rows():
 def test_build_rejects_empty_rows():
     with pytest.raises(ValueError):
         build_complete_fptree([[1], []])
+    # The rows are checked as FormalContext checks them, width as its count.
+    with pytest.raises(ValueError, match="out of range"):
+        build_complete_fptree([[1], [0, 2]])
+    with pytest.raises(ValueError, match="attribute ids must be integers"):
+        build_complete_fptree([[1], [1.5, 2]])
+    with pytest.raises(ValueError, match="exceeds declared count 2"):
+        build_complete_fptree([[1], [1, 3]], width=2)
 
 
 def test_build_rejects_bad_weights():
@@ -97,6 +104,11 @@ def test_intent_of_list_values():
     assert intent_of_list(tree, 4) == ((1, 4), 1)
     with pytest.raises(ValueError):
         intent_of_list(conditional_fptree(tree, 1, tree.path_mask), 1)
+    # numpy rows are taken as int rows: a numpy mask would drop attribute 70.
+    np = pytest.importorskip("numpy")
+    tree = build_complete_fptree(np.array([[1, 70], [2, 70]]))
+    assert intent_of_list(tree, 70) == ((70,), 2)
+    assert tree.path_mask == (1 << 70) - 1
 
 
 def test_list_weights_equal_attribute_cardinalities():
