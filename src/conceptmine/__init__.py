@@ -18,7 +18,6 @@ from .context import (
 from .derive import Concept, EnumerationStats, ObjectSet, closure, down, enumerate_naive, up
 from .errors import (
     CapacityError,
-    ConfigurationError,
     DigestMismatchError,
     ParseError,
     PruningSoundnessError,
@@ -47,7 +46,6 @@ __all__ = [
     "CompleteFpTree",
     "Concept",
     "ConditionalDatabase",
-    "ConfigurationError",
     "DigestMismatchError",
     "EnumerationStats",
     "FormalContext",

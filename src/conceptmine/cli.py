@@ -15,7 +15,7 @@ from contextlib import ExitStack, contextmanager, suppress
 
 from .context import FormalContext, parse_cxt, parse_fimi
 from .derive import EnumerationStats
-from .errors import CapacityError, ConfigurationError, DigestMismatchError, ParseError
+from .errors import CapacityError, DigestMismatchError, ParseError
 from .fptree import DEFAULT_DENSE_WIDTH
 from .mining import ALGORITHMS, concept_digest, mine_concepts
 
@@ -434,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _say(f"conceptmine: parse error: {exc}")
         return EXIT_PARSE
-    except (CapacityError, ConfigurationError, MemoryError) as exc:
+    except (CapacityError, MemoryError) as exc:
         _say(f"conceptmine: {str(exc) or 'out of memory'}")
         return EXIT_CAPACITY
     except DigestMismatchError as exc:

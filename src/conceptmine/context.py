@@ -58,26 +58,25 @@ class FormalContext:
         object_names: Sequence[str] | None = None,
         attr_names: Sequence[str] | None = None,
     ):
-        # Each id becomes an int (numpy's too) before the lookup, where 1.0
-        # would equal 1.  Equal rows share one list, however they are written,
-        # so each distinct row is sorted, checked and counted once.
-        normal: dict[tuple, list[int]] = {}  # a row's ids as given, or ascending -> its list
-        distinct: list[list[int]] = []
+        """Check the rows, weights and attribute count given, and sum the columns.
+
+        Each id becomes an int (numpy's too) before the lookup, where 1.0
+        would equal 1.  A row is interned by its ascending ids alone, so equal
+        rows share one list however they are written, and each distinct row
+        is checked and counted once.
+        """
+        normal: dict[tuple[int, ...], list[int]] = {}  # ascending ids -> their row
         shared: list[list[int]] = []
         for row in rows:
             try:
-                key = tuple(map(operator.index, row))
+                ids = tuple(sorted(set(map(operator.index, row))))
             except TypeError:
                 raise ValueError(f"attribute ids must be integers, got {row!r}") from None
-            same = normal.get(key)
+            same = normal.get(ids)
             if same is None:
-                ids = tuple(sorted(set(key)))
-                same = normal.get(ids)
-                if same is None:
-                    same = normal[ids] = list(ids)
-                    distinct.append(same)
-                normal[key] = same
+                same = normal[ids] = list(ids)
             shared.append(same)
+        distinct = list(normal.values())
         if weights is None:
             weights = [1] * len(shared)
         else:
@@ -95,6 +94,8 @@ class FormalContext:
             num_attributes = highest if num_attributes is None else operator.index(num_attributes)
         except TypeError:
             raise ValueError(f"num_attributes must be an integer, got {num_attributes!r}") from None
+        if num_attributes < 0:
+            raise ValueError(f"num_attributes must be non-negative, got {num_attributes}")
         if highest > num_attributes:
             raise ValueError(f"attribute id {highest} exceeds declared count {num_attributes}")
         lowest = min((row[0] for row in distinct if row), default=1)
@@ -266,21 +267,19 @@ class Frozen:
 class AttributeRemap(Frozen):
     """Bijection between dense working attribute ids and the caller's original ids.
 
-    ``new_to_old[k-1]`` is the original id of working attribute k; ``old_to_new``
-    is the partial inverse (an original id is absent when the attribute was
-    removed).
+    ``new_to_old[k-1]`` is the original id of working attribute k.  The
+    constructor derives its partial inverse ``old_to_new`` (an original id is
+    absent when the attribute was removed).
     """
 
     __slots__ = ("new_to_old", "old_to_new")
 
-    def __init__(self, new_to_old: tuple[int, ...], old_to_new: dict[int, int]):
+    def __init__(self, new_to_old: tuple[int, ...]):
         object.__setattr__(self, "new_to_old", new_to_old)
-        object.__setattr__(self, "old_to_new", old_to_new)
+        object.__setattr__(self, "old_to_new", {old: new for new, old in enumerate(new_to_old, 1)})
 
-    @classmethod
-    def identity(cls, n: int) -> "AttributeRemap":
-        ids = tuple(range(1, n + 1))
-        return cls(ids, {a: a for a in ids})
+    def __reduce__(self):  # the inverse is derived, not restored
+        return type(self), (self.new_to_old,)
 
     def to_original(self, ids: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(self.new_to_old[a - 1] for a in ids))
@@ -291,13 +290,7 @@ class AttributeRemap(Frozen):
 
 def compose_remaps(first: AttributeRemap, second: AttributeRemap) -> AttributeRemap:
     """Remap for applying ``first`` then ``second`` (ids of second map back through first)."""
-    new_to_old = tuple(first.new_to_old[mid - 1] for mid in second.new_to_old)
-    old_to_new = {}
-    for old, mid in first.old_to_new.items():
-        final = second.old_to_new.get(mid)
-        if final is not None:
-            old_to_new[old] = final
-    return AttributeRemap(new_to_old, old_to_new)
+    return AttributeRemap(tuple(map(first.original_of, second.new_to_old)))
 
 
 class ObjectMerge(Frozen):
@@ -313,13 +306,21 @@ class ObjectMerge(Frozen):
         return tuple(sorted(chain.from_iterable(map(self.groups.__getitem__, row_indices))))
 
 
-def _item_id(token: str) -> int:
-    if token.isascii() and token.isdigit():
+def _decimal(text: str) -> int | None:
+    """``text`` read as ASCII decimal digits, else None."""
+    if text.isascii() and text.isdigit():
         try:
-            return int(token)
+            return int(text)
         except ValueError:  # more digits than the interpreter converts
             pass
-    elif token[0] == "-" and token[1:].isascii() and token[1:].isdigit():
+    return None
+
+
+def _item_id(token: str) -> int:
+    item = _decimal(token)
+    if item is not None:
+        return item
+    if token[0] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise ParseError(f"negative item id {token}")
     raise ParseError(f"expected an integer item id, got {token!r}")
 
@@ -405,28 +406,16 @@ def parse_fimi(source: str) -> tuple[FormalContext, AttributeRemap]:
                 row = tallies[raw] = list(raw)
             row_of[line] = row
         rows.extend(map(row_of.__getitem__, lines))
-    ordered = sorted(set(id_of.values()))
-    old_to_new = {old: new for new, old in enumerate(ordered, start=1)}
+    remap = AttributeRemap(tuple(sorted(set(id_of.values()))))
     for row in tallies.values():
-        row[:] = map(old_to_new.__getitem__, row)
-    card = [0] * (len(ordered) + 1)
+        row[:] = map(remap.old_to_new.__getitem__, row)
+    card = [0] * (len(remap.new_to_old) + 1)
     for line, count in counts.items():
         for a in row_of[line]:
             card[a] += count
     ctx = FormalContext._of_normal_rows(rows, [1] * len(rows), card)
     ctx.distinct_rows = list(tallies.values())
-    return ctx, AttributeRemap(tuple(ordered), old_to_new)
-
-
-def _count(line: str) -> int | None:
-    """A .cxt count: ASCII decimal digits, with surrounding whitespace; else None."""
-    text = line.strip()
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than the interpreter converts
-            pass
-    return None
+    return ctx, remap
 
 
 def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
@@ -455,15 +444,15 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
         raise ParseError(f"expected header 'B', got {header!r}", pos)
     # The optional name line is present when the next line is no count, or
     # when three counts follow: without a name the third is the blank line.
-    ahead = [_count(line) for line in lines[pos : pos + 3]]
+    ahead = [_decimal(line.strip()) for line in lines[pos : pos + 3]]
     if ahead and (ahead[0] is None or len(ahead) == 3 and None not in ahead):
         pos += 1
     counts_line = take("object count")
-    num_objects = _count(counts_line)
+    num_objects = _decimal(counts_line.strip())
     if num_objects is None:
         raise ParseError(f"expected object count, got {counts_line!r}", pos)
     attr_line = take("attribute count")
-    num_attributes = _count(attr_line)
+    num_attributes = _decimal(attr_line.strip())
     if num_attributes is None:
         raise ParseError(f"expected attribute count, got {attr_line!r}", pos)
     blank = take("blank separator line")
@@ -488,7 +477,7 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     ctx = FormalContext(
         rows, num_attributes=num_attributes, object_names=object_names, attr_names=attr_names
     )
-    return ctx, AttributeRemap.identity(num_attributes)
+    return ctx, AttributeRemap(tuple(range(1, num_attributes + 1)))
 
 
 def preprocess(
@@ -515,8 +504,8 @@ def preprocess(
         a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= min_support
     ]
     retained.sort(key=lambda a: (-ctx.attr_cardinality[a], a))
-    old_to_new = {old: new for new, old in enumerate(retained, start=1)}
-    remap = AttributeRemap(tuple(retained), old_to_new)
+    remap = AttributeRemap(tuple(retained))
+    old_to_new = remap.old_to_new
 
     # Each distinct row is mapped once, and gets the group of its mapped row.
     # ``ctx`` holds every row, so rows are keyed by id.  A removed attribute

@@ -27,9 +27,6 @@ class ObjectSet(Frozen):
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "weighted_size", weighted_size)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 class Concept(Frozen):
     """Ascending attribute ids, their weighted support, and the object ids when asked."""

@@ -15,10 +15,6 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds a configured size bound."""
 
 
-class ConfigurationError(ValueError):
-    """An option value is outside the supported range."""
-
-
 class PruningSoundnessError(RuntimeError):
     """A pruning rule suppressed a call that would have passed the canonicity test."""
 

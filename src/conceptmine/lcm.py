@@ -75,7 +75,7 @@ from . import fptree
 from .bits import RowSet, ids_of, mask_of, set_bits
 from .context import FormalContext
 from .derive import Concept, EnumerationStats, closure, depth_first
-from .errors import ConfigurationError, PruningSoundnessError
+from .errors import PruningSoundnessError
 from .fptree import DEFAULT_DENSE_WIDTH, tree_of_rows
 
 
@@ -320,9 +320,8 @@ def _lcm(
                 # The subtree is mined on a complete FP-tree of the extent.  Its
                 # paths are the suffix attributes: a row without one feeds no
                 # deeper extent.
-                suffix_mask = mask_of(child_db.suffix_attrs)
-                fp = tree_of_rows(ctx, set_bits(extent), suffix_mask)
-                yield tree(fp, extent, closed, suffix_mask)
+                fp = tree_of_rows(ctx, set_bits(extent), mask_of(child_db.suffix_attrs))
+                yield tree(fp, extent, closed)
                 return
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
@@ -354,23 +353,26 @@ def _lcm(
                 yield node(child_db, child, closed, a)
         rules.pop_frame()
 
-    def tree(fp: fptree.CompleteFpTree, extent: int, closed: int, suffix_mask: int):
+    def tree(fp: fptree.CompleteFpTree, extent: int, closed: int):
         # ``extent`` is the row bitset of the node and ``closed`` its intent.
         # The inners are whole rows, so each list's intersection is its child's
-        # intent.
+        # intent, and the tree's own ``path_mask`` decides its canonicity.
         if node_inspector is not None:
             node_inspector(ids_of(closed), {a: fp.totals[a] for a in sorted(fp.lists)})
         for attr in sorted(fp.lists):
             stats.recursive_calls += 1
             stats.closure_computations += 1
             inter = fp.inters[attr]
-            # Violators: what the closure adds outside the suffix attributes up to
-            # ``attr``.  That is exactly the frequent prefix attributes of the
-            # engagement database and the suffix attributes above ``attr``: every
-            # list is frequent in its extent, so no infrequent attribute is in its
-            # intersection, and every row of a list carries the node's intent, so
-            # ``inter`` holds ``closed``.
-            if inter & ~closed & ~(suffix_mask & ((1 << attr) - 1)):
+            # Violators: what the closure adds outside the tree's paths up to
+            # ``attr``, that is the frequent prefix attributes of the engagement
+            # database and the suffix attributes above ``attr``.  The paths are
+            # suffix attributes, and they hold each one the closure adds below
+            # ``attr``: every list is frequent in its extent, so such an
+            # attribute is frequent there too, and it was in no ancestor's
+            # intersection, so every conditional tree on the way down kept it.
+            # Every row of a list carries the node's intent, so ``inter`` holds
+            # ``closed``.
+            if inter & ~closed & ~(fp.path_mask & ((1 << attr) - 1)):
                 stats.canonicity_failures += 1
                 continue
             child = extent & columns[attr]
@@ -387,7 +389,7 @@ def _lcm(
             sub = fptree.conditional_fptree(fp, attr, keep)
             stats.conditional_dbs_built += 1
             if sub.lists:
-                yield tree(sub, child, inter, suffix_mask)
+                yield tree(sub, child, inter)
 
     if ctx.num_objects:
         db = root_database(ctx)
@@ -443,11 +445,11 @@ def lcm3_enumerate(
         try:
             dense_width = operator.index(dense_width)
         except TypeError:
-            raise ConfigurationError(
+            raise ValueError(
                 f"dense_width must be an integer or math.inf, got {dense_width!r}"
             ) from None
         if dense_width < 0:
-            raise ConfigurationError("dense_width must be non-negative")
+            raise ValueError("dense_width must be non-negative")
     stats = stats if stats is not None else EnumerationStats()
     return _lcm(
         ctx, min_support, dense_width, pruning, stats, with_extents, check_pruning, node_inspector

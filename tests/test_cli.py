@@ -127,6 +127,8 @@ def test_mine_missing_file_exits_1(tmp_path):
         (["mine", "--algorithm", "lcm3", "--dense-width", "-1"], "--dense-width"),
         (["bench", "--algorithms", "lcm3", "--dense-width", "-1"], "--dense-width"),
         (["mine", "--stats", "same.txt", "-o", "./same.txt"], "--stats"),
+        (["bench", "--algorithms", "cbo,frob"], "--algorithms"),
+        (["mine", "--min-support", "-1"], "--min-support"),
     ],
 )
 def test_options_are_checked_before_the_input_is_read(tmp_path, capsys, argv, flag):
@@ -753,6 +755,10 @@ def test_bench_function_checks_digests(k1):
     rows = bench(k1, None, ["cbo", "lcm2", "lcm3"], 1, repeats=1)
     assert [r["algorithm"] for r in rows] == ["cbo", "lcm2", "lcm3"]
     assert all(r["concepts"] == 5 for r in rows)
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        bench(k1, None, ["cbo"], 1, repeats=0)
+    with pytest.raises(ValueError, match="unknown algorithm 'frob'"):
+        mine_concepts(k1, 1, algorithm="frob")
 
 
 def test_concept_digest_order_independent(k1):

@@ -11,6 +11,7 @@ from conceptmine import (
     EnumerationStats,
     FormalContext,
     ParseError,
+    build_complete_fptree,
     cbo_enumerate,
     closure,
     compose_remaps,
@@ -723,6 +724,11 @@ def test_context_rejects_bad_rows_and_weights():
             FormalContext(rows)
     with pytest.raises(ValueError, match="num_attributes must be an integer"):
         FormalContext([[1]], num_attributes=2.0)
+    # A negative count is refused as such, not blamed on an id no row holds.
+    with pytest.raises(ValueError, match="^num_attributes must be non-negative, got -1$"):
+        FormalContext([], num_attributes=-1)
+    with pytest.raises(ValueError, match="^num_attributes must be non-negative, got -1$"):
+        build_complete_fptree([], width=-1)
 
 
 def test_context_weights_must_be_integers():
@@ -818,8 +824,8 @@ def test_support_preservation_property():
 
 
 def test_compose_remaps():
-    first = AttributeRemap((5, 9, 12), {5: 1, 9: 2, 12: 3})
-    second = AttributeRemap((3, 1), {3: 1, 1: 2})
+    first = AttributeRemap((5, 9, 12))
+    second = AttributeRemap((3, 1))
     composed = compose_remaps(first, second)
     assert composed.new_to_old == (12, 5)
     assert composed.old_to_new == {12: 1, 5: 2}

@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+import conceptmine
 from conceptmine import (
     AttributeRemap,
     CapacityError,
@@ -40,13 +41,21 @@ def test_value_classes_compare_by_value_and_refuse_assignment():
         "conditional_dbs_built",
     ]
     assert EnumerationStats(1, pruning_rule_hits=2).as_dict()["pruning_rule_hits"] == 2
-    remap = AttributeRemap((5, 9), {5: 1, 9: 2})
-    assert remap == AttributeRemap((5, 9), {5: 1, 9: 2})
-    assert remap != AttributeRemap((9, 5), {9: 1, 5: 2})
+    remap = AttributeRemap((5, 9))
+    assert remap == AttributeRemap((5, 9)) and remap.old_to_new == {5: 1, 9: 2}
+    assert remap != AttributeRemap((9, 5))
+    assert copy.copy(remap) == pickle.loads(pickle.dumps(remap)) == remap
     assert ObjectMerge(((0, 2), (1,))) == ObjectMerge(((0, 2), (1,)))
     assert ObjectMerge(((0, 2), (1,))) != ObjectMerge(((0,), (1, 2)))
     with pytest.raises(AttributeError):
         remap.old_to_new = {}
+
+
+def test_package_exports_are_sorted_unique_and_bound():
+    # A stale entry would break only ``from conceptmine import *``.
+    names = conceptmine.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(conceptmine, name)] == []
 
 
 def test_up_on_k1(k1):

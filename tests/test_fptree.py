@@ -7,7 +7,6 @@ import pytest
 
 from conceptmine import (
     CompleteFpTree,
-    ConfigurationError,
     EnumerationStats,
     FormalContext,
     build_complete_fptree,
@@ -290,13 +289,13 @@ def test_lcm3_stats_identity():
 def test_lcm3_takes_any_large_dense_width_and_rejects_a_negative_one(k1):
     pre, _, _ = preprocess(k1, 0)
     assert list(lcm3_enumerate(pre, 0, 1 << 20)) == list(lcm3_enumerate(pre, 0, None))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="non-negative"):
         list(lcm3_enumerate(k1, 0, -1))
 
 
 @pytest.mark.parametrize("width", [-0.5, 4.7, math.nan, -math.inf, "4"])
 def test_lcm3_rejects_a_dense_width_that_is_not_an_integer(k1, width):
-    with pytest.raises(ConfigurationError, match="integer"):
+    with pytest.raises(ValueError, match="integer"):
         list(lcm3_enumerate(k1, 0, width))
 
 

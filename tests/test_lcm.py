@@ -10,6 +10,7 @@ from conceptmine import (
     EnumerationStats,
     FormalContext,
     PruneRuleStore,
+    PruningSoundnessError,
     cbo_enumerate,
     closure,
     create_conditional_db,
@@ -254,6 +255,14 @@ def test_lcm2_pruning_strictly_reduces_calls():
     assert on.recursive_calls < off.recursive_calls
 
 
+def test_check_pruning_raises_on_an_unsound_skip(k1, monkeypatch):
+    # A rule store that skips every child: the first skip whose closure
+    # passes the canonicity test raises.
+    monkeypatch.setattr(lcm_module.PruneRuleStore, "should_skip", lambda self, attr: True)
+    with pytest.raises(PruningSoundnessError, match=r"skipped attribute 4 under \(1,\)"):
+        mine_concepts(k1, 1, algorithm="lcm2", check_pruning=True)
+
+
 def test_lcm2_stats_identity():
     for i in range(20):
         ctx = random_context(i)
@@ -474,7 +483,9 @@ def test_lcm2_extents(k1):
     assert by_intent[(1, 2, 3, 4)] == ()
 
 
-@pytest.mark.parametrize("engine", [enumerate_naive, cbo_enumerate, lcm2_enumerate, lcm3_enumerate])
+@pytest.mark.parametrize(
+    "engine", [enumerate_naive, cbo_enumerate, lcm2_enumerate, lcm3_enumerate, preprocess]
+)
 def test_engines_reject_a_negative_min_support(engine):
     # At -1 an engine that tested ``min_support == 0`` would drop the support-0 bottom.
     ctx = FormalContext([[1, 2], [2, 3], [1]])
