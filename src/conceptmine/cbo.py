@@ -32,7 +32,7 @@ def cbo_enumerate(
     with_extents: bool = False,
     stats: EnumerationStats | None = None,
 ) -> Iterator:
-    if min_support < 0:
+    if not min_support >= 0:  # false for NaN as well
         raise ValueError("min_support must be non-negative")
     st = stats if stats is not None else EnumerationStats()
     if ctx.total_weight < min_support:

@@ -268,6 +268,7 @@ def _cmd_mine(args) -> int:
         raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
     if args.dense_width is not None and args.algorithm != "lcm3":
         raise _UsageError("--dense-width applies only to --algorithm lcm3")
+    # Truthiness: an empty path names no file, and it fails when opened (exit 1).
     if args.stats and args.output and _one_regular_file(args.stats, args.output):
         raise _UsageError(f"--stats and --output name the same file: {args.output}")
     ctx, remap, min_support, dense_width = _load(args)
@@ -282,9 +283,9 @@ def _cmd_mine(args) -> int:
             def start():
                 # At the first concept, so a run that fails before it leaves no
                 # file.  The stats path is checked first, without truncating it.
-                if args.stats:
+                if args.stats is not None:
                     _create(args.stats, "a", created).close()
-                if args.output:
+                if args.output is not None:
                     return files.enter_context(_create(args.output, "w", created))
                 return files.enter_context(_stdout())
 
@@ -316,7 +317,7 @@ def _cmd_mine(args) -> int:
             if out is None:  # no concept: the output is still made, empty
                 start()
             wall_ms = (time.perf_counter() - started) * 1000.0
-        if args.stats:
+        if args.stats is not None:
             import json  # here, not at module level: only --stats needs it
 
             record = stats.as_dict()
@@ -340,7 +341,7 @@ def _cmd_gen(args) -> int:
         raise _UsageError(f"--density must lie in [0, 1], got {args.density}")
     ctx = generate_context(args.seed, args.objects, args.attributes, args.density)
     lines = (" ".join(map(str, row)) + "\n" for row in ctx.rows)
-    with open(args.output, "w", encoding="utf-8") if args.output else _stdout() as out:
+    with open(args.output, "w", encoding="utf-8") if args.output is not None else _stdout() as out:
         out.writelines(lines)
     return EXIT_OK
 

@@ -233,8 +233,9 @@ def _row_bitset(rows: Iterable[int], num_rows: int) -> int:
 class Frozen:
     """Base of the immutable value classes, whose fields are their ``__slots__``.
 
-    Instances compare and hash by their fields, and equal only instances of
-    the same class; assigning or deleting a field raises ``AttributeError``.
+    Instances compare, hash, print and pickle by ``_values()`` (every field,
+    unless a class derives some), and equal only instances of the same class;
+    assigning or deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -278,8 +279,8 @@ class AttributeRemap(Frozen):
         object.__setattr__(self, "new_to_old", new_to_old)
         object.__setattr__(self, "old_to_new", {old: new for new, old in enumerate(new_to_old, 1)})
 
-    def __reduce__(self):  # the inverse is derived, not restored
-        return type(self), (self.new_to_old,)
+    def _values(self) -> tuple:  # the inverse is derived: not compared, hashed or restored
+        return (self.new_to_old,)
 
     def to_original(self, ids: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(self.new_to_old[a - 1] for a in ids))
@@ -498,7 +499,7 @@ def preprocess(
     and the returned remap/merge translate results back to the input ids.
     The cardinalities are the input's, read through the remap: no recount.
     """
-    if min_support < 0:
+    if not min_support >= 0:  # false for NaN as well
         raise ValueError("min_support must be non-negative")
     retained = [
         a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= min_support

@@ -155,7 +155,7 @@ def enumerate_naive(
     Refuses contexts wider than ``max_attributes`` (the walk is 2^n).  No
     pruning, no memoization: this is the oracle every other engine must match.
     """
-    if min_support < 0:
+    if not min_support >= 0:  # false for NaN as well
         raise ValueError("min_support must be non-negative")
     n = ctx.num_attributes
     if n > max_attributes:

@@ -57,11 +57,11 @@ and outside the closure) are counted on the columns within the child extent
 and the paths are projected onto the frequent ones, as LCM ver. 3 builds
 conditional databases from frequent items only; the inners stay whole rows.
 
-The engine is one generator whose frames are closures, as ``cbo``'s are:
-its locals are the run's state (options, counters, rule store), and its
-nested ``node`` and ``tree`` frames run on the explicit stack of
-:func:`conceptmine.derive.depth_first`, one frame per node or conditional
-tree, so depth costs no Python recursion.
+:func:`lcm3_enumerate` is the engine, one generator function as
+``cbo_enumerate`` is: its locals are the run's state (options, counters,
+rule store), and its nested ``node`` and ``tree`` frames run on the explicit
+stack of :func:`conceptmine.derive.depth_first`, one frame per node or
+conditional tree, so depth costs no Python recursion.
 """
 
 from __future__ import annotations
@@ -254,25 +254,44 @@ def _assert_skip_sound(ctx: FormalContext, closed: int, attr: int) -> None:
         )
 
 
-def _lcm(
+def lcm3_enumerate(
     ctx: FormalContext,
-    min_support: int,
-    dense_width: int | float,
-    pruning: bool,
-    stats: EnumerationStats,
-    with_extents: bool,
-    check_pruning: bool,
-    node_inspector: Callable | None,
+    min_support: int = 0,
+    dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
+    *,
+    pruning: bool = True,
+    stats: EnumerationStats | None = None,
+    with_extents: bool = False,
+    check_pruning: bool = False,
+    node_inspector: Callable | None = None,
 ) -> Iterator[Concept]:
-    """One enumeration run; its locals are the run's state, its frames the nested generators.
+    """Enumerate frequent closed attribute sets of a preprocessed context.
 
-    A node frame runs each child's entry step - the call count, the rules
-    retired by its anchor, the canonicity test - before it yields the child's
-    frame, so that the rule store holds a failed child's rule before the next
-    sibling is tried.  Without ``pruning`` no rule is recorded, so the store
-    stays empty.  Intents are attribute bitmasks.  ``dense_width`` 0 never
-    engages the FP-trees (LCM2).
+    LCM with the hybrid representation: row bitsets wide, complete FP-trees
+    narrow.  Yields one Concept per closed set with weighted support >=
+    min_support, in the context's own attribute and row ids; the output is
+    identical for every ``dense_width``.  ``dense_width`` 0 disables the
+    FP-trees entirely (LCM2); ``None`` (or ``math.inf``) engages them at every
+    node.  ``check_pruning`` recomputes the closure for every rule-store skip
+    and raises if the skip was unsound (slow; verification only).
+    ``node_inspector`` is called per inner node with the intent and the
+    delivered bucket weights.  The arguments are checked when the generator
+    is first advanced.
     """
+    if not min_support >= 0:  # false for NaN as well
+        raise ValueError("min_support must be non-negative")
+    if dense_width is None:
+        dense_width = math.inf
+    elif dense_width != math.inf:
+        try:
+            dense_width = operator.index(dense_width)
+        except TypeError:
+            raise ValueError(
+                f"dense_width must be an integer or math.inf, got {dense_width!r}"
+            ) from None
+        if dense_width < 0:
+            raise ValueError("dense_width must be non-negative")
+    stats = stats if stats is not None else EnumerationStats()
     if ctx.total_weight < min_support:
         return
     min_weight = max(1, min_support)
@@ -290,6 +309,10 @@ def _lcm(
         ``closed`` is the parent's intent; the attributes of ``db`` that cover
         ``extent``, the anchor among them, complete it.  A leaf, whose counts
         show no frequent attribute outside the closure, builds no database.
+        Each child's entry step - the call count, the rules retired by its
+        anchor, the canonicity test - runs here, before the child's frame is
+        yielded, so that the rule store holds a failed child's rule before
+        the next sibling is tried.
         """
         tail = db.attrs[bisect_left(db.attrs, anchor) :]
         counts, extent_weight = frequencies(db, extent, tail)
@@ -412,45 +435,3 @@ def _lcm(
 def lcm2_enumerate(ctx: FormalContext, min_support: int = 0, **options) -> Iterator[Concept]:
     """LCM2: :func:`lcm3_enumerate` with ``dense_width`` 0, which never engages the FP-trees."""
     return lcm3_enumerate(ctx, min_support, 0, **options)
-
-
-def lcm3_enumerate(
-    ctx: FormalContext,
-    min_support: int = 0,
-    dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
-    *,
-    pruning: bool = True,
-    stats: EnumerationStats | None = None,
-    with_extents: bool = False,
-    check_pruning: bool = False,
-    node_inspector: Callable | None = None,
-) -> Iterator[Concept]:
-    """Enumerate frequent closed attribute sets of a preprocessed context.
-
-    LCM with the hybrid representation: row bitsets wide, complete FP-trees
-    narrow.  Yields one Concept per closed set with weighted support >=
-    min_support, in the context's own attribute and row ids; the output is
-    identical for every ``dense_width``.  ``dense_width`` 0 disables the
-    FP-trees entirely (LCM2); ``None`` (or ``math.inf``) engages them at every
-    node.  ``check_pruning`` recomputes the closure for every rule-store skip
-    and raises if the skip was unsound (slow; verification only).
-    ``node_inspector`` is called per inner node with the intent and the
-    delivered bucket weights.
-    """
-    if min_support < 0:
-        raise ValueError("min_support must be non-negative")
-    if dense_width is None:
-        dense_width = math.inf
-    elif dense_width != math.inf:
-        try:
-            dense_width = operator.index(dense_width)
-        except TypeError:
-            raise ValueError(
-                f"dense_width must be an integer or math.inf, got {dense_width!r}"
-            ) from None
-        if dense_width < 0:
-            raise ValueError("dense_width must be non-negative")
-    stats = stats if stats is not None else EnumerationStats()
-    return _lcm(
-        ctx, min_support, dense_width, pruning, stats, with_extents, check_pruning, node_inspector
-    )

@@ -267,6 +267,14 @@ def test_unwritable_stats_or_output_leaves_no_file(tmp_path):
     assert not target.exists()
     assert run_cli(["mine", str(data), "-o", str(missing), "--stats", str(stats_path)]) == 1
     assert not stats_path.exists()
+    # An empty path names no file: it fails like a missing one, not as "unset".
+    assert run_cli(["mine", str(data), "-o", "", "--stats", str(stats_path)]) == 1
+    assert not stats_path.exists()
+    assert run_cli(["mine", str(data), "-o", str(target), "--stats", ""]) == 1
+    assert not target.exists()
+    assert run_cli(["mine", str(data), "-o", "", "--stats", ""]) == 1
+    gen = ["gen", "--seed", "1", "--objects", "3", "--attributes", "3", "--density", "0.5"]
+    assert run_cli([*gen, "-o", ""]) == 1
 
 
 def test_failed_output_keeps_existing_stats_file(tmp_path):

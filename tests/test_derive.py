@@ -1,5 +1,8 @@
+import ast
 import copy
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +46,8 @@ def test_value_classes_compare_by_value_and_refuse_assignment():
     assert EnumerationStats(1, pruning_rule_hits=2).as_dict()["pruning_rule_hits"] == 2
     remap = AttributeRemap((5, 9))
     assert remap == AttributeRemap((5, 9)) and remap.old_to_new == {5: 1, 9: 2}
+    assert hash(remap) == hash(AttributeRemap((5, 9)))
+    assert repr(remap) == "AttributeRemap(new_to_old=(5, 9))"
     assert remap != AttributeRemap((9, 5))
     assert copy.copy(remap) == pickle.loads(pickle.dumps(remap)) == remap
     assert ObjectMerge(((0, 2), (1,))) == ObjectMerge(((0, 2), (1,)))
@@ -56,6 +61,22 @@ def test_package_exports_are_sorted_unique_and_bound():
     names = conceptmine.__all__
     assert names == sorted(set(names))
     assert [name for name in names if not hasattr(conceptmine, name)] == []
+
+
+def test_sources_parse_at_the_python_floor():
+    # Parses every source at pyproject's requires-python floor, on whichever
+    # Python runs the suite: grammar newer than the floor, such as ``except*``
+    # or PEP 695 generics, is a SyntaxError.  Library APIs newer than the floor
+    # are not caught, and ``feature_version`` is best effort: from 3.12 on it
+    # lets PEP 701's f-strings through (3.11 refuses them in any case).
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    version = tuple(map(int, floor.groups()))
+    paths = [path for top in ("src", "tests", "perfbench") for path in (root / top).rglob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_up_on_k1(k1):

@@ -484,13 +484,20 @@ def test_lcm2_extents(k1):
 
 
 @pytest.mark.parametrize(
-    "engine", [enumerate_naive, cbo_enumerate, lcm2_enumerate, lcm3_enumerate, preprocess]
+    ("engine", "min_support"),
+    [
+        pytest.param(engine, value, id=engine.__name__ + suffix)
+        for value, suffix in ((-1, ""), (math.nan, "-nan"))
+        for engine in (enumerate_naive, cbo_enumerate, lcm2_enumerate, lcm3_enumerate, preprocess)
+    ],
 )
-def test_engines_reject_a_negative_min_support(engine):
-    # At -1 an engine that tested ``min_support == 0`` would drop the support-0 bottom.
+def test_engines_reject_a_negative_min_support(engine, min_support):
+    # At -1 an engine that tested ``min_support == 0`` would drop the support-0
+    # bottom.  NaN fails every comparison, so a ``< 0`` test let it through, and
+    # naive then found no concept where the others found the top one.
     ctx = FormalContext([[1, 2], [2, 3], [1]])
     with pytest.raises(ValueError, match="min_support must be non-negative"):
-        list(engine(ctx, -1))
+        list(engine(ctx, min_support))
 
 
 def test_preprocessing_options_never_change_the_concept_set():
