@@ -424,10 +424,10 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
 
     Layout: "B" header, an optional name line, object count, attribute count,
     a blank line, object names, attribute names, then one '.'/'X' line per
-    object.  Counts are ASCII decimal digits; any other line right after the
-    header is the name line, and so is a count there when two more counts
-    follow it.  Names are kept on the returned context.  The source is
-    decoded text, as for :func:`parse_fimi`.
+    object; only blank lines may follow the last.  Counts are ASCII decimal
+    digits; any other line right after the header is the name line, and so
+    is a count there when two more counts follow it.  Names are kept on the
+    returned context.  The source is decoded text, as for :func:`parse_fimi`.
     """
     lines = [line.removesuffix("\r") for piece in _pieces(source) for line in piece]
     pos = 0
@@ -475,6 +475,9 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
             elif ch != ".":
                 raise ParseError(f"illegal incidence character {ch!r}", pos)
         rows.append(row)
+    for n, line in enumerate(lines[pos:], pos + 1):
+        if line.strip():
+            raise ParseError(f"unexpected line after the last incidence row: {line!r}", n)
     ctx = FormalContext(
         rows, num_attributes=num_attributes, object_names=object_names, attr_names=attr_names
     )

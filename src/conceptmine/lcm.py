@@ -13,17 +13,18 @@ Each node's conditional database is its extent plus its attributes, held
 once as an ascending tuple and split at the anchor into suffix candidates and
 the prefix attributes that later canonicity checks need.  As in LCM ver. 2, a
 node counts only its tail: the attributes of its parent's database at or
-above its anchor.  One pass over those counts gives the closure (the full
-attributes) and tells whether any other attribute is frequent.  A node with
-no such attribute is a leaf, and as in LCM ver. 2 it builds no database: its
+above its anchor.  One pass over those counts sorts every tail attribute:
+a full one joins the closure, any other frequent one goes to the suffix of
+the child database, and an empty or infrequent one is dropped.  A node with
+an empty suffix is a leaf, and as in LCM ver. 2 it builds no database: its
 database would be the empty one.  Otherwise ``create_conditional_db(db,
-extent, anchor, min_weight, counted)`` takes the same counts for the suffix,
-with full, empty and infrequent attributes dropped.  The attributes below
-the anchor are carried into the prefix uncounted: the parent's canonicity
-test has just shown that none of them covers the extent, and one that does
-not reach the minimum support there can cover no delivered bucket either.
-Frequencies come as a list aligned with the counted attributes, so the
-child's database keeps its attributes in order without a sort.
+extent, anchor, suffix)`` assembles the child database from that suffix and
+reads no counts.  The attributes below the anchor are carried into the
+prefix uncounted: the parent's canonicity test has just shown that none of
+them covers the extent, and one that does not reach the minimum support
+there can cover no delivered bucket either.  Frequencies come as a list
+aligned with the counted attributes, so the suffix stays ascending without
+a sort.
 ``occurrence_deliver(db)`` fills every child extent (bucket) with one AND
 per suffix attribute, as ascending ``(attribute, bucket)`` pairs.  The
 canonicity test stops at the smallest violator, as in In-Close.  Children
@@ -94,22 +95,13 @@ class ConditionalDatabase:
     infrequent one never does.
     """
 
-    __slots__ = ("ctx", "anchor", "attrs", "split", "extent", "extent_weight")
+    __slots__ = ("ctx", "attrs", "split", "extent")
 
-    def __init__(
-        self,
-        ctx: FormalContext,
-        anchor: int,
-        attrs: tuple[int, ...],
-        extent: RowSet,
-        extent_weight: int,
-    ):
+    def __init__(self, ctx: FormalContext, attrs: tuple[int, ...], split: int, extent: RowSet):
         self.ctx = ctx
-        self.anchor = anchor
         self.attrs = attrs
-        self.split = bisect_left(attrs, anchor)
+        self.split = split
         self.extent = extent
-        self.extent_weight = extent_weight
 
     @property
     def prefix_attrs(self) -> tuple[int, ...]:
@@ -126,10 +118,7 @@ class ConditionalDatabase:
     def validate(self) -> None:
         attrs = self.attrs
         counts, weight = self.ctx.column_weights(self.extent, attrs)
-        assert weight == self.extent_weight
         assert all(a < b for a, b in zip(attrs, attrs[1:])), "attributes not ascending"
-        assert all(a < self.anchor for a in self.prefix_attrs)
-        assert all(a > self.anchor for a in self.suffix_attrs)
         for i, (a, count) in enumerate(zip(attrs, counts)):
             if i < self.split:
                 assert count < weight, f"prefix attribute {a} full"
@@ -156,28 +145,18 @@ def frequencies(
 
 
 def create_conditional_db(
-    db: ConditionalDatabase,
-    extent: int,
-    anchor: int,
-    min_weight: int,
-    counted: tuple[list[int], int],
+    db: ConditionalDatabase, extent: int, anchor: int, suffix: list[int]
 ) -> ConditionalDatabase:
     """Project ``db`` onto an extent for recursion below ``anchor``.
 
-    Only the tail is counted: ``counted`` is ``frequencies(db, extent,
-    tail)`` for the attributes of ``db`` at or above the anchor, of which the
-    full, empty and infrequent ones are dropped; ``min_weight`` must be at
-    least 1, so that an empty one is infrequent.  Those below the anchor move
-    into the prefix uncounted, so the caller must know that none of them
-    covers the extent; a canonicity test that passed has shown it.
+    ``suffix`` is what the node's count of its tail kept: the attributes of
+    ``db`` at or above the anchor that are frequent in the extent without
+    covering it, ascending.  Those below the anchor move into the prefix
+    uncounted, so the caller must know that none of them covers the extent;
+    a canonicity test that passed has shown it.
     """
-    attrs = db.attrs
-    cut = bisect_left(attrs, anchor)
-    counts, extent_weight = counted
-    suffix = (a for a, n in zip(attrs[cut:], counts) if min_weight <= n < extent_weight)
-    return ConditionalDatabase(
-        db.ctx, anchor, (*attrs[:cut], *suffix), RowSet(extent), extent_weight
-    )
+    cut = bisect_left(db.attrs, anchor)
+    return ConditionalDatabase(db.ctx, (*db.attrs[:cut], *suffix), cut, RowSet(extent))
 
 
 class PruneRuleStore:
@@ -240,7 +219,7 @@ class PruneRuleStore:
 def root_database(ctx: FormalContext) -> ConditionalDatabase:
     """Wrap a context as the anchor-0 conditional database over all of its rows."""
     live = tuple(a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] > 0)
-    return ConditionalDatabase(ctx, 0, live, RowSet((1 << ctx.num_objects) - 1), ctx.total_weight)
+    return ConditionalDatabase(ctx, live, 0, RowSet((1 << ctx.num_objects) - 1))
 
 
 def _assert_skip_sound(ctx: FormalContext, closed: int, attr: int) -> None:
@@ -307,8 +286,9 @@ def lcm3_enumerate(
         """The frame of a node that passed its canonicity test: emit it, then its children.
 
         ``closed`` is the parent's intent; the attributes of ``db`` that cover
-        ``extent``, the anchor among them, complete it.  A leaf, whose counts
-        show no frequent attribute outside the closure, builds no database.
+        ``extent``, the anchor among them, complete it.  The one pass over
+        the tail's counts also picks the child database's suffix; a leaf,
+        whose suffix is empty, builds no database.
         Each child's entry step - the call count, the rules retired by its
         anchor, the canonicity test - runs here, before the child's frame is
         yielded, so that the rule store holds a failed child's rule before
@@ -316,36 +296,37 @@ def lcm3_enumerate(
         """
         tail = db.attrs[bisect_left(db.attrs, anchor) :]
         counts, extent_weight = frequencies(db, extent, tail)
-        # One pass closes the node and tells whether it has children: a full
-        # attribute joins the closure, any other frequent one is a suffix
-        # attribute of the child database.
-        has_children = False
+        # One pass closes the node and picks its child database's suffix: a
+        # full attribute joins the closure, any other frequent one is a suffix
+        # attribute, and an empty or infrequent one is dropped.
+        suffix = []
         for a, n in zip(tail, counts):
             if n == extent_weight:
                 closed |= 1 << (a - 1)
             elif n >= min_weight:
-                has_children = True
+                suffix.append(a)
+        del tail, counts  # a frame lives as long as its subtree: keep only what the children need
         yield emit(closed, extent_weight, extent)
 
         # A leaf's database is the empty one: counted, but not built.
         stats.conditional_dbs_built += 1
-        if not has_children:
+        if not suffix:
             return
-        child_db = create_conditional_db(db, extent, anchor, min_weight, (counts, extent_weight))
-        del counts  # a frame lives as long as its subtree: keep only what the children need
-        if len(child_db.suffix_attrs) <= dense_width:
+        child_db = create_conditional_db(db, extent, anchor, suffix)
+        if len(suffix) <= dense_width:
             # Only here can the FP-trees engage, and whether they do depends on
             # the frequent prefix, so only here is the prefix counted.
             counts = frequencies(child_db, extent, child_db.prefix_attrs)[0]
             frequent = sum(n >= min_weight for n in counts)
             del counts
-            if frequent + len(child_db.suffix_attrs) <= dense_width:
+            if frequent + len(suffix) <= dense_width:
                 # The subtree is mined on a complete FP-tree of the extent.  Its
                 # paths are the suffix attributes: a row without one feeds no
                 # deeper extent.
-                fp = tree_of_rows(ctx, set_bits(extent), mask_of(child_db.suffix_attrs))
+                fp = tree_of_rows(ctx, set_bits(extent), mask_of(suffix))
                 yield tree(fp, extent, closed)
                 return
+        del suffix
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.
         buckets = occurrence_deliver(child_db)

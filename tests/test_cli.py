@@ -1,5 +1,6 @@
 import argparse
 import errno
+import importlib.util
 import io
 import itertools
 import json
@@ -491,6 +492,14 @@ def test_mine_cxt_count_not_in_ascii_digits_exits_2(monkeypatch, capsys):
     assert "line 3: expected object count, got '0_2'" in capsys.readouterr().err
 
 
+def test_mine_cxt_row_past_the_object_count_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("B\n\n2\n2\n\no1\no2\na\nb\nX.\n.X\nXX\n"))
+    assert run_cli(["mine", "-", "--format", "cxt", "--min-support", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 12: unexpected line after the last incidence row: 'XX'" in err
+
+
 def test_mine_no_attr_sort_exits_3(tmp_path, capsys):
     # Every engine mines in the one attribute order, so the option is gone.
     data = tmp_path / "k1.dat"
@@ -932,3 +941,39 @@ def test_benchmark_tracer_sees_the_engine_layers(tmp_path, algorithm):
                 ancestors.append(spans[parent][0])
                 parent = spans[parent][3]
             assert "mining.mine_concepts" in ancestors, (span, ancestors)
+
+
+def _perfbench_module(monkeypatch, name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered before it runs: a dataclass looks its own module up there.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache in the benchmark's tree
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_seed_0_outputs_and_lcm_counters_match_the_record(tmp_path, monkeypatch):
+    # In-process, the check perfbench/run.py makes at seed 0: every engine
+    # writes the recorded output, and lcm2 and lcm3 repeat the recorded
+    # counters.  cbo's recorded counters predate its mirrored attribute order
+    # and stay out until they are re-recorded (ROADMAP direction 1a).
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    bench_run = _perfbench_module(monkeypatch, "run")
+    expected = json.loads(bench_run.EXPECTED.read_text())
+    for name, gen in workloads.GENERATORS.items():
+        record = expected[name]
+        workload = gen(0)
+        data = tmp_path / f"{name}.dat"
+        data.write_text(workloads.to_fimi(workload.rows))
+        for engine in bench_run.ENGINES:
+            out, stats = tmp_path / f"{name}.{engine}.out", tmp_path / f"{name}.{engine}.json"
+            args = ["mine", str(data), "--algorithm", engine, *workload.mine_args]
+            assert run_cli([*args, "-o", str(out), "--stats", str(stats)]) == 0, (name, engine)
+            digest = bench_run.output_digest(out)
+            assert digest == (record["digest"], record["concepts"]), (name, engine)
+            if engine != "cbo":
+                counts = json.loads(stats.read_text())
+                counters = {k: counts[k] for k in bench_run.COUNTERS}
+                assert counters == record["counters"][engine], (name, engine)

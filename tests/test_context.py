@@ -449,6 +449,14 @@ def test_parse_cxt_errors_carry_line_numbers():
         parse_cxt("B\n\n1\n1\n\no\na\n?\n")
 
 
+def test_parse_cxt_refuses_lines_after_the_last_row():
+    # Two objects declared and three rows given: the third is not mined silently.
+    with pytest.raises(ParseError) as caught:
+        parse_cxt("B\n\n2\n2\n\no1\no2\na\nb\nX.\n.X\n\n XX\n\n")
+    assert str(caught.value) == "line 13: unexpected line after the last incidence row: ' XX'"
+    assert parse_cxt("B\n\n2\n2\n\no1\no2\na\nb\nX.\n.X\n \n\t\n")[0].rows == [[1], [2]]
+
+
 def test_parse_cxt_crlf_and_separators_inside_names():
     ctx, _ = parse_cxt("B\r\n\r\n2\r\n1\r\n\r\no\x0c1\r\no\u20282\r\na\x1c\r\nX\r\n.\r\n")
     assert ctx.object_names == ["o\x0c1", "o\u20282"]
@@ -466,7 +474,7 @@ CXT_LINE_ENDS = [
         "B\nctx\u2028name\n3\n2\n\n\r\no\rp\x0c\n\na1\n\x0ca2\r\nX.\r\n..\n.X",
         (["", "o\rp\x0c", ""], ["a1", "\x0ca2"], [[1], [], [2]]),
     ),
-    # Blank lines after the last row are never read.
+    # Only blank lines follow the last row, and they are accepted.
     ("B\n\n1\n3\n\n\u2028\nx\r\ny\n\n.X.\r\n\r\n\n", (["\u2028"], ["x", "y", ""], [[2]])),
 ]
 

@@ -42,7 +42,7 @@ def members(rows):
 def test_occurrence_deliver_k1_root():
     # Root node after closing {3}: live children are 1, 2, 4.
     root = k1_root_db()
-    db = create_conditional_db(root, root.extent, 0, 1, frequencies(root, root.extent, root.attrs))
+    db = create_conditional_db(root, root.extent, 0, [1, 2, 4])
     # Ascending pairs: the engine pops the largest attribute first.
     assert [a for a, _ in occurrence_deliver(db)] == [1, 2, 4]
     buckets = dict(occurrence_deliver(db))
@@ -77,7 +77,7 @@ def test_frequencies_counts_interior_intersections():
     # The prefix attributes stand where interior intersections stood in a
     # row-merging database, and frequencies counts them like the suffix ones.
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3, 1, frequencies(base, base.extent, (4, 5)))
+    db = create_conditional_db(base, base.extent, 3, [5])
     assert db.attrs == (1, 2, 5)
     assert frequencies(db, db.extent, db.attrs) == ([2, 2, 1], 3)
     assert frequencies(db, RowSet(0b110), db.attrs) == ([1, 2, 1], 2)
@@ -91,53 +91,63 @@ def test_frequencies_empty_db():
 
 
 def test_create_conditional_db_steps():
-    """Full attribute 4 and empty attribute 3 drop; live attributes split at the anchor."""
-    base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3, 1, frequencies(base, base.extent, (4, 5)))
+    """The prefix is carried uncounted, the suffix taken as given; ``split`` is the cut."""
+    # Rows 0-2 share attribute 4; attribute 3 occurs only in row 3.
+    base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5], [3]]))
+    db = create_conditional_db(base, RowSet(0b111), 4, [5])
+    assert db.prefix_attrs == (1, 2, 3)  # 3 is absent from the extent, yet carried
     assert db.suffix_attrs == (5,)
-    assert db.prefix_attrs == (1, 2)
+    assert db.split == 3
     assert members(db.extent) == [0, 1, 2] and db.num_rows == 3
-    assert db.extent_weight == 3
+    assert db.ctx.weight_of(db.extent) == 3
     db.validate()
+    # Nothing is recounted: full attribute 4 stays when the caller keeps it.
+    assert create_conditional_db(base, RowSet(0b111), 4, [4, 5]).suffix_attrs == (4, 5)
 
 
 def test_conditional_database_validate_checks_the_order_and_the_split():
-    base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3, 1, frequencies(base, base.extent, (4, 5)))
-    assert (db.attrs, db.split) == ((1, 2, 5), 2)
-    db.attrs = (2, 1, 5)
+    base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5], [3]]))
+    db = create_conditional_db(base, RowSet(0b111), 4, [5])
+    assert (db.attrs, db.split) == ((1, 2, 3, 5), 3)
+    db.attrs = (2, 1, 3, 5)
     with pytest.raises(AssertionError, match="ascending"):
         db.validate()
-    db.attrs, db.split = (1, 2, 5), 1
-    with pytest.raises(AssertionError):
+    db.attrs, db.split = (1, 2, 3, 5), 2
+    with pytest.raises(AssertionError, match="suffix attribute 3 full or empty"):
+        db.validate()
+    db.attrs, db.split = (1, 2, 4, 5), 3
+    with pytest.raises(AssertionError, match="prefix attribute 4 full"):
         db.validate()
 
 
 def test_create_conditional_db_drops_infrequent():
-    base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]]))
-    db = create_conditional_db(base, base.extent, 3, 2, frequencies(base, base.extent, (4, 5)))
-    assert db.suffix_attrs == ()  # 5 occurs once
-    assert db.prefix_attrs == (1, 2)
-    db.validate()
+    # Attribute 5 occurs once: at min support 1 the root delivers it, at 2 the
+    # node's count drops it, and it reaches no delivered bucket.
+    ctx = FormalContext([[1, 4], [2, 4], [1, 2, 4, 5]])
+    for min_support in (1, 2):
+        seen = []
+        list(lcm2_enumerate(ctx, min_support, node_inspector=lambda b, w: seen.append(w)))
+        assert seen
+        assert any(5 in buckets for buckets in seen) == (min_support == 1)
 
 
 def test_create_conditional_db_mid_tree_node():
     # K1 at the node with intent {1,3}: extent rows 0 and 1, anchor 1.
     root = k1_root_db()
     extent = RowSet(0b11)
-    db = create_conditional_db(root, extent, 1, 1, frequencies(root, extent, root.attrs))
+    db = create_conditional_db(root, extent, 1, [2])
     assert db.suffix_attrs == (2,)
     assert [(a, members(rows)) for a, rows in occurrence_deliver(db)] == [(2, [0])]
-    assert db.extent_weight == 2
+    assert db.ctx.weight_of(db.extent) == 2
 
 
 def test_create_conditional_db_single_row():
     root = k1_root_db()
     extent = RowSet(0b1)
-    db = create_conditional_db(root, extent, 0, 1, frequencies(root, extent, root.attrs))
-    # a one-row database has every attribute full: nothing survives
-    assert db.suffix_attrs == ()
-    assert db.extent_weight == 1
+    # a one-row extent has every attribute full or empty: the suffix is empty
+    db = create_conditional_db(root, extent, 0, [])
+    assert db.attrs == () and db.split == 0
+    assert db.ctx.weight_of(db.extent) == 1
 
 
 def test_prune_rule_store_should_skip():
@@ -358,7 +368,8 @@ def test_lcm_run_state_lives_in_the_run():
 def test_lcm_nodes_count_only_their_tail(monkeypatch):
     # Spied through the module, as perfbench/tracer.py does: a node counts its
     # tail within its extent, and only a node with a frequent extension then
-    # builds its child database from those counts; a leaf builds none.
+    # builds its child database, whose suffix those counts pick; a leaf
+    # builds none.
     events = []
     frequencies_of = lcm_module.frequencies
     create = lcm_module.create_conditional_db
@@ -368,9 +379,9 @@ def test_lcm_nodes_count_only_their_tail(monkeypatch):
         events.append(("count", extent, db.attrs, attrs, counted))
         return counted
 
-    def spy_create(db, extent, anchor, min_weight, counted):
-        child = create(db, extent, anchor, min_weight, counted)
-        events.append(("db", extent, anchor, child))
+    def spy_create(db, extent, anchor, suffix):
+        child = create(db, extent, anchor, suffix)
+        events.append(("db", extent, anchor, list(suffix), child))
         return child
 
     monkeypatch.setattr(lcm_module, "frequencies", spy_frequencies)
@@ -385,7 +396,7 @@ def test_lcm_nodes_count_only_their_tail(monkeypatch):
                 concepts = list(engine(pre, s))
                 for event in events:
                     if event[0] == "db":
-                        event[3].validate()
+                        event[-1].validate()
                 if engine is not lcm2_enumerate:
                     continue
                 # LCM2 counts once per emitted concept; the top concept with an
@@ -398,13 +409,15 @@ def test_lcm_nodes_count_only_their_tail(monkeypatch):
                     _, extent, db_attrs, attrs, (ns, weight) = event
                     assert attrs == db_attrs[len(db_attrs) - len(attrs) :], (i, s, attrs)
                     # A database follows a count exactly when the counts show a
-                    # frequent attribute that does not cover the extent.
-                    has_children = any(max(1, s) <= n < weight for n in ns)
+                    # frequent attribute that does not cover the extent, and
+                    # those attributes are its suffix.
+                    expected = [a for a, n in zip(attrs, ns) if max(1, s) <= n < weight]
                     builds = after is not None and after[0] == "db"
-                    assert builds == has_children, (i, s, ns, weight)
+                    assert builds == bool(expected), (i, s, ns, weight)
                     leaves += not builds
                     if builds:
-                        _, db_extent, anchor, _ = after
+                        _, db_extent, anchor, suffix, _ = after
+                        assert suffix == expected, (i, s, ns, weight)
                         assert db_extent == extent, (i, s)
                         assert all(a >= anchor for a in attrs), (i, s, anchor, attrs)
                 for before, event in zip([None, *events], events):
@@ -461,8 +474,7 @@ def test_lcm2_interior_intersection_canonicity():
         if len(live) < 2:
             continue
         anchor = live[len(live) // 2]
-        tail = db.attrs[db.attrs.index(anchor) :]
-        child = create_conditional_db(db, db.extent, anchor, 1, frequencies(db, db.extent, tail))
+        child = create_conditional_db(db, db.extent, anchor, [a for a in live if a >= anchor])
         for extent_attr, rows in occurrence_deliver(child):
             sub_counts, sub_weight = frequencies(child, rows, child.attrs)
             sub_counts = dict(zip(child.attrs, sub_counts))
