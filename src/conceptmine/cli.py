@@ -8,6 +8,7 @@ reader of standard output closed it early.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -92,13 +93,55 @@ def generate_context(
     return FormalContext(rows, num_attributes=num_attributes)
 
 
+def _number(parse, what: str, low, high=math.inf):
+    """An argparse type: ``parse(text)`` if it lies in [low, high], else a usage error."""
+
+    def number(text: str):
+        try:
+            value = parse(text)
+            if low <= value <= high:  # false for NaN as well
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return number
+
+
+_COUNT = _number(int, "an integer >= 0", 0)
+_REPEATS = _number(int, "an integer >= 1", 1)
+_FRACTION = _number(float, "a number in [0, 1]", 0.0, 1.0)
+_WIDTH = _number(lambda t: math.inf if t.lower() == "inf" else int(t), "an integer >= 0 or inf", 0)
+
+# Each engine flag by the engine keyword it sets, which is also its ``args``
+# name: the flag, and the engines that take the keyword.  A flag not given is
+# None and passes nothing, so the engine's own default holds.
+_ENGINE_FLAGS = {
+    "pruning": ("--no-pruning", ("lcm2", "lcm3")),
+    "dense_width": ("--dense-width", ("lcm3",)),
+}
+
+
+def _engine_options(args, algorithms: list[str]) -> dict:
+    """Keywords of the engine flags given; refuse a flag that no engine of ``algorithms`` takes."""
+    options = {}
+    for keyword, (flag, engines) in _ENGINE_FLAGS.items():
+        value = getattr(args, keyword, None)  # bench has no --no-pruning
+        if value is not None:
+            if not any(a in engines for a in algorithms):
+                raise _UsageError(f"{flag} applies only to {' and '.join(engines)}")
+            options[keyword] = value
+    return options
+
+
 def _input_arguments(command: _Parser) -> None:
     """The input and support options that ``mine`` and ``bench`` share."""
     command.add_argument("input", help="input file, or - for standard input")
     command.add_argument("--format", choices=("fimi", "cxt"), default="fimi")
-    command.add_argument("--min-support", type=int, default=None, help="absolute weighted count")
-    command.add_argument(
-        "--min-support-ratio", type=float, default=None, help="fraction of the object count"
+    support = command.add_mutually_exclusive_group()
+    support.add_argument("--min-support", type=_COUNT, help="absolute weighted count")
+    support.add_argument(
+        "--min-support-ratio", type=_FRACTION, help="fraction of the object count"
     )
 
 
@@ -106,11 +149,15 @@ def _mine_arguments(mine: _Parser) -> None:
     _input_arguments(mine)
     mine.add_argument("--algorithm", choices=ALGORITHMS, default="lcm2")
     mine.add_argument(
-        "--no-pruning", action="store_true", help="lcm2 and lcm3 only: disable rule pruning"
+        "--no-pruning",
+        dest="pruning",
+        action="store_false",
+        default=None,
+        help="lcm2 and lcm3 only: disable rule pruning",
     )
     mine.add_argument(
         "--dense-width",
-        default=None,
+        type=_WIDTH,
         help="lcm3 only: max frequent attributes of a node on FP-trees (integer or 'inf')",
     )
     mine.add_argument("--with-extents", action="store_true", help="append object ids per itemset")
@@ -120,18 +167,18 @@ def _mine_arguments(mine: _Parser) -> None:
 
 
 def _gen_arguments(gen: _Parser) -> None:
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--objects", type=int, required=True)
-    gen.add_argument("--attributes", type=int, required=True)
-    gen.add_argument("--density", type=float, required=True)
+    gen.add_argument("--seed", type=_COUNT, required=True)
+    gen.add_argument("--objects", type=_COUNT, required=True)
+    gen.add_argument("--attributes", type=_COUNT, required=True)
+    gen.add_argument("--density", type=_FRACTION, required=True)
     gen.add_argument("--output", "-o", default=None)
 
 
 def _bench_arguments(bench: _Parser) -> None:
     _input_arguments(bench)
     bench.add_argument("--algorithms", default="cbo,lcm2", help="comma-separated engine list")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--dense-width", default=None)
+    bench.add_argument("--repeats", type=_REPEATS, default=3)
+    bench.add_argument("--dense-width", type=_WIDTH)
 
 
 _COMMANDS = {
@@ -159,19 +206,8 @@ def _build_parser(command: str | None) -> _Parser:
     return parser
 
 
-def _check_support(args) -> None:
-    """Refuse conflicting or out-of-range support options, before any input is read."""
-    if args.min_support is not None and args.min_support_ratio is not None:
-        raise _UsageError("give either --min-support or --min-support-ratio, not both")
-    ratio = args.min_support_ratio
-    if ratio is not None and not 0.0 <= ratio <= 1.0:
-        raise _UsageError(f"--min-support-ratio must lie in [0, 1], got {ratio}")
-    if args.min_support is not None and args.min_support < 0:
-        raise _UsageError("--min-support must be non-negative")
-
-
 def _resolve_support(args, total_objects: int) -> int:
-    """The absolute support of options that :func:`_check_support` passed."""
+    """The absolute support that the support flags give for ``total_objects`` objects."""
     if args.min_support_ratio is not None:
         # The ratio as written in decimal, not its binary float: 0.07 of 100
         # objects is 7, where the float product is 7.000000000000001.  Integer
@@ -181,20 +217,6 @@ def _resolve_support(args, total_objects: int) -> int:
         scale = 10 ** (len(decimals) - int(exponent or 0))
         return -(-int(whole + decimals) * total_objects // scale)
     return 1 if args.min_support is None else args.min_support
-
-
-def _resolve_dense_width(text: str | None):
-    if text is None:
-        return DEFAULT_DENSE_WIDTH
-    if text.lower() == "inf":
-        return None
-    try:
-        width = int(text)
-    except ValueError:
-        raise _UsageError(f"--dense-width expects an integer or 'inf', got {text!r}") from None
-    if width < 0:
-        raise _UsageError(f"--dense-width must be non-negative, got {width}")
-    return width
 
 
 def _read_input(path: str) -> str:
@@ -220,15 +242,10 @@ def _read_input(path: str) -> str:
 
 
 def _load(args):
-    """``(ctx, remap, min_support, dense_width)`` of ``mine``'s or ``bench``'s options.
-
-    The options are checked before the input is read.
-    """
-    dense_width = _resolve_dense_width(args.dense_width)
-    _check_support(args)
+    """``(ctx, remap, min_support)`` of ``mine``'s or ``bench``'s input and support options."""
     text = _read_input(args.input)
     ctx, remap = parse_fimi(text) if args.format == "fimi" else parse_cxt(text)
-    return ctx, remap, _resolve_support(args, ctx.num_objects), dense_width
+    return ctx, remap, _resolve_support(args, ctx.num_objects)
 
 
 def _format_concept(c, with_extents: bool) -> str:
@@ -264,14 +281,11 @@ def _one_regular_file(stats: str, output: str) -> bool:
 
 
 def _cmd_mine(args) -> int:
-    if args.no_pruning and args.algorithm not in ("lcm2", "lcm3"):
-        raise _UsageError("--no-pruning applies only to --algorithm lcm2 or lcm3")
-    if args.dense_width is not None and args.algorithm != "lcm3":
-        raise _UsageError("--dense-width applies only to --algorithm lcm3")
+    options = _engine_options(args, [args.algorithm])
     # Truthiness: an empty path names no file, and it fails when opened (exit 1).
     if args.stats and args.output and _one_regular_file(args.stats, args.output):
         raise _UsageError(f"--stats and --output name the same file: {args.output}")
-    ctx, remap, min_support, dense_width = _load(args)
+    ctx, remap, min_support = _load(args)
     stats = EnumerationStats()
     with_extents = args.with_extents
     created: list[str] = []  # the files this run made, removed if it fails
@@ -303,12 +317,11 @@ def _cmd_mine(args) -> int:
                 ctx,
                 min_support,
                 algorithm=args.algorithm,
-                pruning=not args.no_pruning,
-                dense_width=dense_width,
                 with_extents=with_extents,
                 base_remap=remap,
                 stats=stats,
                 sink=None if args.sorted else write,
+                **options,
             )
             if args.sorted:
                 concepts.sort(key=lambda c: c.intent)
@@ -333,12 +346,6 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    for name in ("seed", "objects", "attributes"):
-        value = getattr(args, name)
-        if value < 0:
-            raise _UsageError(f"--{name} must be non-negative, got {value}")
-    if not 0.0 <= args.density <= 1.0:  # false for NaN as well
-        raise _UsageError(f"--density must lie in [0, 1], got {args.density}")
     ctx = generate_context(args.seed, args.objects, args.attributes, args.density)
     lines = (" ".join(map(str, row)) + "\n" for row in ctx.rows)
     with open(args.output, "w", encoding="utf-8") if args.output is not None else _stdout() as out:
@@ -366,17 +373,13 @@ def bench(
     rows = []
     digests = {}
     for algorithm in algorithms:
+        options = {"dense_width": dense_width} if algorithm == "lcm3" else {}
         walls = []
         for _ in range(repeats):
             stats = EnumerationStats()
             started = time.perf_counter()
             concepts = mine_concepts(
-                ctx,
-                min_support,
-                algorithm=algorithm,
-                dense_width=dense_width,
-                base_remap=remap,
-                stats=stats,
+                ctx, min_support, algorithm=algorithm, base_remap=remap, stats=stats, **options
             )
             walls.append((time.perf_counter() - started) * 1000.0)
         digests[algorithm] = concept_digest(concepts)
@@ -393,25 +396,15 @@ def bench(
 
 
 def _cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise _UsageError(f"--algorithms names no engine: {args.algorithms!r}")
     for a in algorithms:
         if a not in ALGORITHMS:
             raise _UsageError(f"unknown algorithm {a!r} in --algorithms")
-    if args.dense_width is not None and "lcm3" not in algorithms:
-        raise _UsageError("--dense-width applies only when --algorithms holds lcm3")
-    ctx, remap, min_support, dense_width = _load(args)
-    rows = bench(
-        ctx,
-        remap,
-        algorithms,
-        min_support,
-        repeats=args.repeats,
-        dense_width=dense_width,
-    )
+    options = _engine_options(args, algorithms)
+    ctx, remap, min_support = _load(args)
+    rows = bench(ctx, remap, algorithms, min_support, repeats=args.repeats, **options)
     import csv  # here, not at module level, so that mining never loads it
 
     fields = ["algorithm", "wall_ms_median", "concepts", *EnumerationStats.__slots__]

@@ -41,7 +41,9 @@ LCM3 runs the same traversal until a node's frequent attributes fit
 within ``dense_width``, then mines the whole subtree on complete FP-trees.
 Only a node whose frequent suffix fits can engage, so only such a node
 counts its prefix too, for the number of frequent prefix attributes;
-elsewhere the prefix stays uncounted, as in LCM2.  The FP-trees come from
+elsewhere the prefix stays uncounted, as in LCM2.  A node that engages
+builds no conditional database (the counters count one, as for a leaf): its
+complete FP-tree replaces it.  The FP-trees come from
 :mod:`conceptmine.fptree`: ``tree_of_rows`` files the rows of the node's
 extent bitset, each row's mask projected onto the suffix attributes as its
 path and whole as its inner, as it does for :func:`build_complete_fptree`.
@@ -294,7 +296,8 @@ def lcm3_enumerate(
         yielded, so that the rule store holds a failed child's rule before
         the next sibling is tried.
         """
-        tail = db.attrs[bisect_left(db.attrs, anchor) :]
+        cut = bisect_left(db.attrs, anchor)
+        tail = db.attrs[cut:]
         counts, extent_weight = frequencies(db, extent, tail)
         # One pass closes the node and picks its child database's suffix: a
         # full attribute joins the closure, any other frequent one is a suffix
@@ -312,11 +315,10 @@ def lcm3_enumerate(
         stats.conditional_dbs_built += 1
         if not suffix:
             return
-        child_db = create_conditional_db(db, extent, anchor, suffix)
         if len(suffix) <= dense_width:
             # Only here can the FP-trees engage, and whether they do depends on
             # the frequent prefix, so only here is the prefix counted.
-            counts = frequencies(child_db, extent, child_db.prefix_attrs)[0]
+            counts = frequencies(db, extent, db.attrs[:cut])[0]
             frequent = sum(n >= min_weight for n in counts)
             del counts
             if frequent + len(suffix) <= dense_width:
@@ -326,6 +328,7 @@ def lcm3_enumerate(
                 fp = tree_of_rows(ctx, set_bits(extent), mask_of(suffix))
                 yield tree(fp, extent, closed)
                 return
+        child_db = create_conditional_db(db, extent, anchor, suffix)
         del suffix
         # Taken from the end, largest attribute first: a popped list shrinks,
         # so the frame holds only the buckets still to be tried.

@@ -17,7 +17,6 @@ from collections.abc import Callable, Iterable
 from .cbo import cbo_enumerate
 from .context import AttributeRemap, FormalContext, ObjectMerge, compose_remaps, preprocess
 from .derive import Concept, EnumerationStats, enumerate_naive
-from .fptree import DEFAULT_DENSE_WIDTH
 from .lcm import lcm2_enumerate, lcm3_enumerate
 
 ALGORITHMS = ("naive", "cbo", "lcm2", "lcm3")
@@ -28,14 +27,12 @@ def mine_concepts(
     min_support: int = 1,
     *,
     algorithm: str = "lcm2",
-    pruning: bool = True,
-    dense_width: int | float | None = DEFAULT_DENSE_WIDTH,
     with_extents: bool = False,
     base_remap: AttributeRemap | None = None,
     stats: EnumerationStats | None = None,
-    check_pruning: bool = False,
     node_inspector=None,
     sink: Callable[[Concept], object] | None = None,
+    **options,
 ) -> list[Concept] | None:
     """Mine all closed attribute sets of ``ctx`` with weighted support >= min_support.
 
@@ -44,9 +41,12 @@ def mine_concepts(
     Returns concepts with intents in the caller's original attribute ids
     (through ``base_remap`` when the context itself was densified at parse
     time) and extents, when requested, as original object indices.
-    ``node_inspector`` (``lcm2``/``lcm3`` only) is called per inner node with
-    the intent and a dict of the delivered bucket weights by attribute, all in
-    original ids.
+    ``node_inspector`` is called per inner node with the intent and a dict of
+    the delivered bucket weights by attribute, all in original ids.  It and
+    every other keyword go to the engine: ``pruning``, ``check_pruning`` and
+    ``node_inspector`` to ``lcm2`` and ``lcm3``, ``dense_width`` to ``lcm3``
+    only, ``max_attributes`` to ``naive``.  An engine refuses a keyword it
+    does not take with TypeError.
 
     Without a ``sink`` the concepts are returned as a list, in the engine's
     order.  With one, ``sink`` is called with each translated concept as the
@@ -55,12 +55,10 @@ def mine_concepts(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    stats = stats if stats is not None else EnumerationStats()
 
     pre, remap, merge = preprocess(ctx, min_support)
     full_remap = compose_remaps(base_remap, remap) if base_remap is not None else remap
 
-    inspector = None
     if node_inspector is not None:
 
         def inspector(intent: tuple[int, ...], buckets: dict[int, int]) -> None:
@@ -69,22 +67,18 @@ def mine_concepts(
                 {full_remap.original_of(a): w for a, w in buckets.items()},
             )
 
+        options["node_inspector"] = inspector
+
+    # Looked up at each call, not in a table: perfbench/tracer.py rebinds these names.
     if algorithm == "naive":
-        raw = enumerate_naive(pre, min_support, with_extents=with_extents, stats=stats)
+        engine = enumerate_naive
     elif algorithm == "cbo":
-        raw = cbo_enumerate(pre, min_support, with_extents=with_extents, stats=stats)
+        engine = cbo_enumerate
+    elif algorithm == "lcm2":
+        engine = lcm2_enumerate
     else:
-        options = dict(
-            pruning=pruning,
-            stats=stats,
-            with_extents=with_extents,
-            check_pruning=check_pruning,
-            node_inspector=inspector,
-        )
-        if algorithm == "lcm2":
-            raw = lcm2_enumerate(pre, min_support, **options)
-        else:
-            raw = lcm3_enumerate(pre, min_support, dense_width, **options)
+        engine = lcm3_enumerate
+    raw = engine(pre, min_support, with_extents=with_extents, stats=stats, **options)
     concepts = None
     if sink is None:
         concepts = []

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -15,7 +16,19 @@ from pathlib import Path
 import pytest
 
 from conceptmine import concept_digest, mine_concepts, parse_fimi
-from conceptmine.cli import _resolve_support, bench, generate_context, main
+from conceptmine.cbo import cbo_enumerate
+from conceptmine.cli import (
+    _ENGINE_FLAGS,
+    _engine_options,
+    _resolve_support,
+    _UsageError,
+    bench,
+    generate_context,
+    main,
+)
+from conceptmine.derive import enumerate_naive
+from conceptmine.lcm import lcm3_enumerate
+from conceptmine.mining import ALGORITHMS
 
 from conftest import EMPTY_COLUMNS_CXT, concept_set
 
@@ -130,6 +143,9 @@ def test_mine_missing_file_exits_1(tmp_path):
         (["mine", "--stats", "same.txt", "-o", "./same.txt"], "--stats"),
         (["bench", "--algorithms", "cbo,frob"], "--algorithms"),
         (["mine", "--min-support", "-1"], "--min-support"),
+        (["mine", "--min-support", "abc"], "--min-support"),
+        (["bench", "--repeats", "x"], "--repeats"),
+        (["mine", "--min-support-ratio", "nan"], "--min-support-ratio"),
     ],
 )
 def test_options_are_checked_before_the_input_is_read(tmp_path, capsys, argv, flag):
@@ -189,6 +205,44 @@ def test_mine_algorithm_specific_flags_rejected(tmp_path):
     assert run_cli(["mine", str(data), "--algorithm", "lcm2", "--dense-width", "4"]) == 3
     # lcm3 runs the rule store in its wide phase, so it takes --no-pruning
     assert run_cli(["mine", str(data), "--algorithm", "lcm3", "--no-pruning"]) == 0
+
+
+@pytest.mark.parametrize(
+    "algorithm, option",
+    [
+        ("cbo", {"pruning": False}),
+        ("naive", {"check_pruning": True}),
+        ("cbo", {"node_inspector": lambda intent, buckets: None}),
+        ("lcm2", {"dense_width": 4}),
+    ],
+)
+def test_mine_concepts_refuses_an_option_its_engine_does_not_take(k1, algorithm, option):
+    # mine_concepts forwards engine keywords unchanged, so none is ignored quietly.
+    with pytest.raises(TypeError):
+        mine_concepts(k1, 1, algorithm=algorithm, **option)
+
+
+def test_every_engine_keyword_the_cli_passes_is_a_parameter_of_the_engine():
+    # A flag declared for an engine that does not take its keyword would fail
+    # only at run time.  lcm2 is lcm3_enumerate with dense_width 0, so it is
+    # checked through lcm3_enumerate's signature.
+    engines = {
+        "naive": enumerate_naive,
+        "cbo": cbo_enumerate,
+        "lcm2": lcm3_enumerate,
+        "lcm3": lcm3_enumerate,
+    }
+    assert set(engines) == set(ALGORITHMS)
+    passed = set()
+    for algorithm, engine in engines.items():
+        for keyword in _ENGINE_FLAGS:
+            try:
+                options = _engine_options(argparse.Namespace(**{keyword: 0}), [algorithm])
+            except _UsageError:
+                continue
+            assert set(options) <= set(inspect.signature(engine).parameters), (algorithm, options)
+            passed.update(options)
+    assert passed == set(_ENGINE_FLAGS)
 
 
 def test_mine_naive_capacity_exits_4(tmp_path):
@@ -490,6 +544,15 @@ def test_mine_cxt_count_not_in_ascii_digits_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("B\n\n0_2\n1\n\na\nb\nx\nX\nX\n"))
     assert run_cli(["mine", "-", "--format", "cxt"]) == 2
     assert "line 3: expected object count, got '0_2'" in capsys.readouterr().err
+
+
+def test_mine_cxt_cut_short_exits_2(monkeypatch, capsys):
+    # The second of two declared rows is missing.
+    monkeypatch.setattr("sys.stdin", io.StringIO("B\n\n2\n2\n\no1\no2\na\nb\nX.\n"))
+    assert run_cli(["mine", "-", "--format", "cxt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 11: unexpected end of input, expected incidence row" in err
 
 
 def test_mine_cxt_row_past_the_object_count_exits_2(monkeypatch, capsys):

@@ -449,6 +449,24 @@ def test_parse_cxt_errors_carry_line_numbers():
         parse_cxt("B\n\n1\n1\n\no\na\n?\n")
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("", "line 1: unexpected end of input, expected header 'B'"),
+        ("B\n", "line 2: unexpected end of input, expected object count"),
+        ("B\n\n2\n2\n\no1\n", "line 7: unexpected end of input, expected object name"),
+        (
+            "B\n\n2\n2\n\no1\no2\na\nb\nX.\n",  # the second row is missing
+            "line 11: unexpected end of input, expected incidence row",
+        ),
+    ],
+)
+def test_parse_cxt_refuses_truncated_input(source, message):
+    with pytest.raises(ParseError) as caught:
+        parse_cxt(source)
+    assert str(caught.value) == message
+
+
 def test_parse_cxt_refuses_lines_after_the_last_row():
     # Two objects declared and three rows given: the third is not mined silently.
     with pytest.raises(ParseError) as caught:

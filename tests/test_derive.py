@@ -44,6 +44,14 @@ def test_value_classes_compare_by_value_and_refuse_assignment():
         "conditional_dbs_built",
     ]
     assert EnumerationStats(1, pruning_rule_hits=2).as_dict()["pruning_rule_hits"] == 2
+    stats = EnumerationStats(1, 2, 3, 4, 5, 6)
+    assert stats == EnumerationStats(1, 2, 3, 4, 5, 6) and stats != EnumerationStats()
+    # Another type is never equal, not even a dict of the same counters.
+    assert stats != stats.as_dict() and not stats == (1, 2, 3, 4, 5, 6)
+    assert repr(stats) == (
+        "EnumerationStats(concepts_emitted=1, recursive_calls=2, closure_computations=3, "
+        "canonicity_failures=4, pruning_rule_hits=5, conditional_dbs_built=6)"
+    )
     remap = AttributeRemap((5, 9))
     assert remap == AttributeRemap((5, 9)) and remap.old_to_new == {5: 1, 9: 2}
     assert hash(remap) == hash(AttributeRemap((5, 9)))
