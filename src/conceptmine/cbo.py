@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bits import ids_of, set_bits
-from .context import FormalContext
+from .context import FormalContext, check_min_support
 from .derive import Concept, EnumerationStats, depth_first
 
 
@@ -32,8 +32,7 @@ def cbo_enumerate(
     with_extents: bool = False,
     stats: EnumerationStats | None = None,
 ) -> Iterator:
-    if not min_support >= 0:  # false for NaN as well
-        raise ValueError("min_support must be non-negative")
+    check_min_support(min_support)
     st = stats if stats is not None else EnumerationStats()
     if ctx.total_weight < min_support:
         return

@@ -17,7 +17,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from .context import FormalContext, parse_cxt, parse_fimi
 from .derive import EnumerationStats
 from .errors import CapacityError, DigestMismatchError, ParseError
-from .fptree import DEFAULT_DENSE_WIDTH
+from .lcm import DEFAULT_DENSE_WIDTH
 from .mining import ALGORITHMS, concept_digest, mine_concepts
 
 EXIT_OK = 0
@@ -181,13 +181,6 @@ def _bench_arguments(bench: _Parser) -> None:
     bench.add_argument("--dense-width", type=_WIDTH)
 
 
-_COMMANDS = {
-    "mine": ("enumerate frequent closed itemsets of a dataset", _mine_arguments),
-    "gen": ("generate a random context in FIMI format", _gen_arguments),
-    "bench": ("time several engines on one dataset and compare outputs", _bench_arguments),
-}
-
-
 def _build_parser(command: str | None) -> _Parser:
     """The parser for a command line that starts with ``command``.
 
@@ -198,10 +191,10 @@ def _build_parser(command: str | None) -> _Parser:
     parser = _Parser(prog="conceptmine", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     if command in _COMMANDS:
-        summary, add_arguments = _COMMANDS[command]
+        summary, add_arguments, _ = _COMMANDS[command]
         add_arguments(sub.add_parser(command, help=summary))
     else:
-        for name, (summary, _) in _COMMANDS.items():
+        for name, (summary, *_) in _COMMANDS.items():
             sub.add_parser(name, help=summary)
     return parser
 
@@ -415,13 +408,20 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {  # each command's summary, the function that adds its arguments, its handler
+    "mine": ("enumerate frequent closed itemsets of a dataset", _mine_arguments, _cmd_mine),
+    "gen": ("generate a random context in FIMI format", _gen_arguments, _cmd_gen),
+    "bench": ("time engines on one dataset and compare outputs", _bench_arguments, _cmd_bench),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return {"mine": _cmd_mine, "gen": _cmd_gen, "bench": _cmd_bench}[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _UsageError as exc:
         _say(f"conceptmine: {exc}")
         return EXIT_USAGE

@@ -230,12 +230,11 @@ def _row_bitset(rows: Iterable[int], num_rows: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-class Frozen:
-    """Base of the immutable value classes, whose fields are their ``__slots__``.
+class Record:
+    """Base of the classes whose fields are their ``__slots__``.
 
-    Instances compare, hash, print and pickle by ``_values()`` (every field,
-    unless a class derives some), and equal only instances of the same class;
-    assigning or deleting a field raises ``AttributeError``.
+    Instances compare and print by ``_values()`` (every field, unless a class
+    derives some), equal only instances of the same class, and do not hash.
     """
 
     __slots__ = ()
@@ -248,12 +247,18 @@ class Frozen:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self):
-        return hash(self._values())
-
     def __repr__(self):
         fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Frozen(Record):
+    """Base of the value classes: a record that hashes and pickles, and whose fields are fixed."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __reduce__(self):  # pickle and copy would restore the fields by assignment
         return type(self), self._values()
@@ -484,6 +489,12 @@ def parse_cxt(source: str) -> tuple[FormalContext, AttributeRemap]:
     return ctx, AttributeRemap(tuple(range(1, num_attributes + 1)))
 
 
+def check_min_support(min_support) -> None:
+    """Raise ``ValueError`` unless ``min_support`` is at least 0, which NaN is not."""
+    if not min_support >= 0:  # false for NaN as well
+        raise ValueError("min_support must be non-negative")
+
+
 def preprocess(
     ctx: FormalContext, min_support: int = 0
 ) -> tuple[FormalContext, AttributeRemap, ObjectMerge]:
@@ -502,8 +513,7 @@ def preprocess(
     and the returned remap/merge translate results back to the input ids.
     The cardinalities are the input's, read through the remap: no recount.
     """
-    if not min_support >= 0:  # false for NaN as well
-        raise ValueError("min_support must be non-negative")
+    check_min_support(min_support)
     retained = [
         a for a in range(1, ctx.num_attributes + 1) if ctx.attr_cardinality[a] >= min_support
     ]

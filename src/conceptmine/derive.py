@@ -14,7 +14,7 @@ import operator
 from collections.abc import Iterable, Iterator
 
 from .bits import ids_of
-from .context import FormalContext, Frozen
+from .context import FormalContext, Frozen, Record, check_min_support
 from .errors import CapacityError
 
 
@@ -41,8 +41,8 @@ class Concept(Frozen):
         object.__setattr__(self, "extent", extent)
 
 
-class EnumerationStats:
-    """Traversal counters shared by every engine.
+class EnumerationStats(Record):
+    """Traversal counters shared by every engine: a mutable record, so unhashable.
 
     For CbO and the LCM engines every recursive call either emits a concept or
     fails the canonicity test, so concepts_emitted + canonicity_failures equals
@@ -75,16 +75,7 @@ class EnumerationStats:
         self.conditional_dbs_built = conditional_dbs_built
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other):
-        if type(other) is not EnumerationStats:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value}" for name, value in self.as_dict().items())
-        return f"EnumerationStats({fields})"
+        return dict(zip(self.__slots__, self._values()))
 
 
 def depth_first(root: Iterator) -> Iterator[Concept]:
@@ -155,8 +146,7 @@ def enumerate_naive(
     Refuses contexts wider than ``max_attributes`` (the walk is 2^n).  No
     pruning, no memoization: this is the oracle every other engine must match.
     """
-    if not min_support >= 0:  # false for NaN as well
-        raise ValueError("min_support must be non-negative")
+    check_min_support(min_support)
     n = ctx.num_attributes
     if n > max_attributes:
         raise CapacityError(

@@ -32,8 +32,6 @@ from collections.abc import Iterable, Sequence
 from .bits import ids_of
 from .context import FormalContext
 
-DEFAULT_DENSE_WIDTH = 128
-
 
 class CompleteFpTree:
     """Per-attribute node lists over the attributes of ``path_mask``.

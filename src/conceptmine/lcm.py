@@ -76,10 +76,12 @@ from collections.abc import Callable, Iterator
 
 from . import fptree
 from .bits import RowSet, ids_of, mask_of, set_bits
-from .context import FormalContext
+from .context import FormalContext, check_min_support
 from .derive import Concept, EnumerationStats, closure, depth_first
 from .errors import PruningSoundnessError
-from .fptree import DEFAULT_DENSE_WIDTH, tree_of_rows
+from .fptree import tree_of_rows
+
+DEFAULT_DENSE_WIDTH = 128
 
 
 class ConditionalDatabase:
@@ -104,10 +106,6 @@ class ConditionalDatabase:
         self.attrs = attrs
         self.split = split
         self.extent = extent
-
-    @property
-    def prefix_attrs(self) -> tuple[int, ...]:
-        return self.attrs[: self.split]
 
     @property
     def suffix_attrs(self) -> tuple[int, ...]:
@@ -259,8 +257,7 @@ def lcm3_enumerate(
     delivered bucket weights.  The arguments are checked when the generator
     is first advanced.
     """
-    if not min_support >= 0:  # false for NaN as well
-        raise ValueError("min_support must be non-negative")
+    check_min_support(min_support)
     if dense_width is None:
         dense_width = math.inf
     elif dense_width != math.inf:

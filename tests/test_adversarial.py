@@ -18,7 +18,7 @@ import time
 import pytest
 
 from conceptmine import FormalContext, enumerate_naive, mine_concepts, preprocess
-from conceptmine.fptree import DEFAULT_DENSE_WIDTH
+from conceptmine.lcm import DEFAULT_DENSE_WIDTH
 
 from conftest import concept_set
 

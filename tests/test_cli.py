@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from conceptmine import concept_digest, mine_concepts, parse_fimi
 from conceptmine.cbo import cbo_enumerate
 from conceptmine.cli import (
     _ENGINE_FLAGS,
+    _build_parser,
     _engine_options,
     _resolve_support,
     _UsageError,
@@ -243,6 +245,22 @@ def test_every_engine_keyword_the_cli_passes_is_a_parameter_of_the_engine():
             assert set(options) <= set(inspect.signature(engine).parameters), (algorithm, options)
             passed.update(options)
     assert passed == set(_ENGINE_FLAGS)
+
+
+def test_every_engine_flag_parses_into_its_keyword():
+    # A table entry whose flag no add_argument declares would pass nothing and
+    # refuse nothing; the signature check above cannot see that.
+    mine = _build_parser("mine")
+    for keyword, (flag, engines) in _ENGINE_FLAGS.items():
+        try:
+            args = mine.parse_args(["mine", "in.dat", flag])
+        except _UsageError:  # the flag takes a value
+            args = mine.parse_args(["mine", "in.dat", flag, "1"])
+        assert list(_engine_options(args, list(engines))) == [keyword], flag
+    # bench declares one engine flag, and it is a table entry too.
+    args = _build_parser("bench").parse_args(["bench", "in.dat", "--dense-width", "1"])
+    assert _ENGINE_FLAGS["dense_width"][0] == "--dense-width"
+    assert _engine_options(args, ["lcm3"]) == {"dense_width": 1}
 
 
 def test_mine_naive_capacity_exits_4(tmp_path):
@@ -1040,3 +1058,28 @@ def test_benchmark_seed_0_outputs_and_lcm_counters_match_the_record(tmp_path, mo
                 counts = json.loads(stats.read_text())
                 counters = {k: counts[k] for k in bench_run.COUNTERS}
                 assert counters == record["counters"][engine], (name, engine)
+
+
+@pytest.mark.parametrize("algorithm", ["lcm2", "lcm3"])
+def test_benchmark_tracer_sees_every_lcm_layer_on_seed_0_basket(tmp_path, monkeypatch, algorithm):
+    # The layer routes on a real workload at lcm3's default width, as the
+    # traced benchmark run reads them: a refactor that calls a layer by
+    # another route leaves its metric at 0 instead of failing.
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    workload = workloads.GENERATORS["basket"](0)
+    data, spans = tmp_path / "basket.dat", tmp_path / "spans.json"
+    data.write_text(workloads.to_fimi(workload.rows))
+    args = ["mine", str(data), "--algorithm", algorithm, *workload.mine_args]
+    done = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", str(spans), *args, "-o", str(tmp_path / "out")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans.read_text())
+    calls = Counter(span[0] for span in spans)
+    rows_in = sum(span[4] for span in spans if span[0] == "lcm.cond_db")
+    assert calls["lcm.deliver"] > 0 and calls["lcm.frequencies"] > 0 and rows_in > 0, calls
+    if algorithm == "lcm3":
+        assert calls["fptree.cond_tree"] > 0, calls

@@ -14,6 +14,7 @@ from conceptmine import (
     EnumerationStats,
     FormalContext,
     ObjectMerge,
+    ObjectSet,
     closure,
     down,
     enumerate_naive,
@@ -62,6 +63,17 @@ def test_value_classes_compare_by_value_and_refuse_assignment():
     assert ObjectMerge(((0, 2), (1,))) != ObjectMerge(((0,), (1, 2)))
     with pytest.raises(AttributeError):
         remap.old_to_new = {}
+
+
+def test_only_the_frozen_records_hash():
+    # The counters change while an engine runs, so a hash of them would go
+    # stale: EnumerationStats compares by value but must not hash.
+    with pytest.raises(TypeError):
+        hash(EnumerationStats())
+    for value in (Concept((1,), 2), ObjectSet((0,), 1), AttributeRemap((3,)), ObjectMerge(((0,),))):
+        assert hash(value) == hash(copy.copy(value)) == hash(pickle.loads(pickle.dumps(value)))
+    stats = EnumerationStats(1, 2, 3, 4, 5, 6)
+    assert copy.copy(stats) == pickle.loads(pickle.dumps(stats)) == stats
 
 
 def test_package_exports_are_sorted_unique_and_bound():

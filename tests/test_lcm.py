@@ -95,7 +95,7 @@ def test_create_conditional_db_steps():
     # Rows 0-2 share attribute 4; attribute 3 occurs only in row 3.
     base = root_database(FormalContext([[1, 4], [2, 4], [1, 2, 4, 5], [3]]))
     db = create_conditional_db(base, RowSet(0b111), 4, [5])
-    assert db.prefix_attrs == (1, 2, 3)  # 3 is absent from the extent, yet carried
+    assert db.attrs[: db.split] == (1, 2, 3)  # 3 is absent from the extent, yet carried
     assert db.suffix_attrs == (5,)
     assert db.split == 3
     assert members(db.extent) == [0, 1, 2] and db.num_rows == 3
@@ -479,7 +479,7 @@ def test_lcm2_interior_intersection_canonicity():
             sub_counts, sub_weight = frequencies(child, rows, child.attrs)
             sub_counts = dict(zip(child.attrs, sub_counts))
             closed = closure(pre, (extent_attr,))
-            for p in child.prefix_attrs:
+            for p in child.attrs[: child.split]:
                 assert (sub_counts[p] == sub_weight) == (p in closed)
                 assert (pre.columns[p] & rows == rows) == (p in closed)
 
